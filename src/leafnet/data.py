@@ -126,6 +126,8 @@ def _decode_ppm(data: bytes, path: Path) -> np.ndarray:
         raise DecodeError(f"{path}: bad PPM header") from exc
     if maxval > 255 or maxval < 1:
         raise DecodeError(f"{path}: unsupported PPM maxval {maxval}")
+    if width < 1 or height < 1:
+        raise DecodeError(f"{path}: PPM size {width}x{height} has no pixels")
     pos += 1  # single whitespace after maxval
     pixels = data[pos:pos + width * height * 3]
     if len(pixels) != width * height * 3:
@@ -156,6 +158,8 @@ def _decode_png(data: bytes, path: Path) -> np.ndarray:
         pos += 12 + length
         if ctype == b"IHDR":
             width, height, depth, color, _, _, interlace = struct.unpack(">IIBBBBB", chunk)
+            if width == 0 or height == 0:
+                raise DecodeError(f"{path}: PNG size {width}x{height} has no pixels")
             if depth != 8 or interlace != 0:
                 raise DecodeError(f"{path}: only 8-bit non-interlaced PNG supported")
             channels = {0: 1, 2: 3, 4: 2, 6: 4}.get(color)
@@ -411,29 +415,63 @@ def _manifest(model: M.SequentialModel) -> dict:
 
 
 def save_model(model: M.SequentialModel, path: str | Path) -> None:
-    """Write atomically: a failed save leaves no partial file behind."""
+    """Write atomically: a failed save leaves no partial file behind.
+
+    Parameters stream from their own buffers into the file, so a save
+    allocates no file-sized blob and its time does not depend on what the
+    allocator holds."""
     path = Path(path)
     manifest = json.dumps(_manifest(model)).encode("utf-8")
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<I", FORMAT_VERSION)
-    blob += struct.pack("<I", len(manifest))
-    blob += manifest
-    for params in model.params:
-        for p in params.values():
-            blob += np.ascontiguousarray(p, dtype="<f4").tobytes()
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(bytes(blob))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC + struct.pack("<II", FORMAT_VERSION, len(manifest)) + manifest)
+            for params in model.params:
+                for p in params.values():
+                    f.write(np.ascontiguousarray(p, dtype="<f4").data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def _rebuild(arch: str, config: dict) -> M.SequentialModel:
-    if arch == "cnn":
-        config = dict(config, filters=tuple(config["filters"]))
-        return M.build_cnn(M.CnnConfig(**config))
-    if arch == "lstm":
-        return M.build_lstm(M.LstmConfig(**config))
-    raise ModelFormatError(f"unknown architecture {arch!r} in model file")
+_ARCHS = {"cnn": (M.CnnConfig, M.cnn_spec), "lstm": (M.LstmConfig, M.lstm_spec)}
+
+
+def _field(obj, key: str, kind: type, where: str):
+    """obj[key] when obj is a JSON object holding a `kind` there."""
+    if not isinstance(obj, dict) or not isinstance(obj.get(key), kind):
+        raise ModelFormatError(f"{where} needs a {kind.__name__} {key!r}")
+    return obj[key]
+
+
+def _config_value(default, value):
+    """The manifest value typed like the dataclass default, or None."""
+    if isinstance(default, tuple):
+        ok = isinstance(value, list) and all(type(v) is int for v in value)
+        return tuple(value) if ok else None
+    number = (int, float) if isinstance(default, float) else (int,)
+    return value if type(value) in number else None
+
+
+def _rebuild(arch, config, where: str) -> M.ModelSpec:
+    """The layer specs a manifest's architecture and config describe; draws
+    no parameters, since load_model fills them all from the file."""
+    if arch not in _ARCHS:
+        raise ModelFormatError(f"{where}: unknown architecture {arch!r}")
+    cls, spec_of = _ARCHS[arch]
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    if set(config) != set(defaults):
+        raise ModelFormatError(f"{where}: {arch} config keys {sorted(config)} "
+                               f"are not {sorted(defaults)}")
+    values = {key: _config_value(default, config[key]) for key, default in defaults.items()}
+    for key, value in values.items():
+        if value is None:
+            raise ModelFormatError(f"{where}: config {key}={config[key]!r} has the wrong type")
+    try:
+        return spec_of(cls(**values))
+    except ConfigError as exc:
+        raise ModelFormatError(f"{where}: {exc}") from exc
 
 
 def load_model(path: str | Path) -> M.SequentialModel:
@@ -453,29 +491,50 @@ def load_model(path: str | Path) -> M.SequentialModel:
         manifest = json.loads(data[12:12 + mlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"{path}: manifest unreadable: {exc}") from exc
-    model = _rebuild(manifest["arch"], manifest["config"])
-    declared = manifest["layers"]
-    if len(declared) != len(model.params):
+    if not isinstance(manifest, dict):
+        raise ModelFormatError(f"{path}: manifest is not a JSON object")
+    where = f"{path}: manifest"
+    spec = _rebuild(_field(manifest, "arch", str, where),
+                    _field(manifest, "config", dict, where), where)
+    label_map = _field(manifest, "label_map", list, where)
+    if not all(isinstance(name, str) for name in label_map):
+        raise ModelFormatError(f"{where}: label_map entries must be strings")
+    if label_map and len(label_map) != spec.classes:
+        raise ModelFormatError(f"{where}: label_map has {len(label_map)} names "
+                               f"for {spec.classes} classes")
+    declared = _field(manifest, "layers", list, where)
+    if len(declared) != len(spec.layers):
         raise ModelFormatError(f"{path}: manifest declares {len(declared)} layers, "
-                               f"architecture has {len(model.params)}")
+                               f"architecture has {len(spec.layers)}")
     offset = 12 + mlen
-    for spec, params, entry in zip(model.spec.layers, model.params, declared):
-        if entry["name"] != spec.name:
+    params: list[dict[str, np.ndarray]] = []
+    for i, (layer, entry) in enumerate(zip(spec.layers, declared)):
+        entry_where = f"{where} layer {i}"
+        name = _field(entry, "name", str, entry_where)
+        if name != layer.name:
             raise ModelFormatError(
-                f"{path}: layer {entry['name']!r} does not match {spec.name!r}")
-        for decl in entry["params"]:
-            key, shape = decl["name"], tuple(decl["shape"])
-            if key not in params or params[key].shape != shape:
+                f"{path}: layer {name!r} does not match {layer.name!r}")
+        expected = M.param_shapes(layer)
+        decls = _field(entry, "params", list, entry_where)
+        keys = [_field(decl, "name", str, entry_where) for decl in decls]
+        if keys != list(expected):
+            raise ModelFormatError(
+                f"{path}: layer {layer.name} declares parameters {keys}, expected "
+                f"{list(expected)}")
+        layer_params = {}
+        for key, decl in zip(keys, decls):
+            shape = tuple(_field(decl, "shape", list, entry_where))
+            if shape != expected[key]:
                 raise ModelFormatError(
-                    f"{path}: parameter {spec.name}.{key} shape {shape} unexpected")
-            nbytes = int(np.prod(shape)) * 4
-            if offset + nbytes > len(data):
+                    f"{path}: parameter {layer.name}.{key} shape {shape} unexpected")
+            count = int(np.prod(expected[key]))
+            if offset + 4 * count > len(data):
                 raise ModelFormatError(f"{path}: parameter blob truncated at offset {offset}")
-            params[key] = np.frombuffer(
-                data, dtype="<f4", count=int(np.prod(shape)), offset=offset
-            ).reshape(shape).astype(np.float32)
-            offset += nbytes
+            layer_params[key] = np.frombuffer(
+                data, dtype="<f4", count=count, offset=offset
+            ).reshape(expected[key]).astype(np.float32)
+            offset += 4 * count
+        params.append(layer_params)
     if offset != len(data):
         raise ModelFormatError(f"{path}: {len(data) - offset} trailing bytes at offset {offset}")
-    model.label_map = list(manifest["label_map"])
-    return model
+    return M.SequentialModel(spec, params, list(label_map))

@@ -9,8 +9,11 @@ Conventions:
   - parameters are read-only during forward/backward; only the optimizer
     mutates them
 
-Convolution forward and backward are phrased as im2col / col2im plus the
-shared matmul kernel, so conv and dense exercise one numeric hot path.
+Convolution forward and backward are nine shifted GEMMs through the shared
+matmul kernel, so conv and dense exercise one numeric hot path: the padded
+input is flattened once to rows, and kernel tap (i, j) multiplies the rows
+starting at i*Wp + j (Wp the padded width). Outputs are computed on "wide"
+rows of Wp columns and the kw-1 columns past the output width are dropped.
 """
 
 from __future__ import annotations
@@ -85,29 +88,20 @@ def conv_output_hw(h: int, w: int, kh: int, kw: int, padding: str) -> tuple[int,
     raise ConfigError(f"unknown padding {padding!r}")
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, oh: int, ow: int) -> np.ndarray:
-    """Unroll kh x kw windows of an (already padded) [H, W, C] input into a
-    [oh*ow, kh*kw*C] matrix whose column order matches kernels.reshape(-1, Cout)."""
-    c = x.shape[2]
-    cols = np.empty((oh * ow, kh * kw * c), dtype=x.dtype)
-    k = 0
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, k * c:(k + 1) * c] = x[i:i + oh, j:j + ow, :].reshape(oh * ow, c)
-            k += 1
-    return cols
+def _padded_rows(x: np.ndarray, pad: int, kw: int) -> np.ndarray:
+    """Zero-pad [H, W, C] by `pad` on both spatial axes and flatten it to rows
+    [(H+2p)*(W+2p) + kw-1, C]. Row r*Wp + c holds padded pixel (r, c); the
+    kw-1 trailing zero rows let the last shifted window run past the grid."""
+    h, w, c = x.shape
+    hp, wp = h + 2 * pad, w + 2 * pad
+    flat = np.zeros((hp * wp + kw - 1, c), dtype=x.dtype)
+    flat[:hp * wp].reshape(hp, wp, c)[pad:pad + h, pad:pad + w] = x
+    return flat
 
 
-def _col2im(cols: np.ndarray, h: int, w: int, c: int, kh: int, kw: int,
-            oh: int, ow: int) -> np.ndarray:
-    """Scatter-add [oh*ow, kh*kw*C] columns back onto a padded [H, W, C] grid."""
-    out = np.zeros((h, w, c), dtype=cols.dtype)
-    k = 0
-    for i in range(kh):
-        for j in range(kw):
-            out[i:i + oh, j:j + ow, :] += cols[:, k * c:(k + 1) * c].reshape(oh, ow, c)
-            k += 1
-    return out
+def _taps(kh: int, kw: int, wp: int):
+    """Kernel taps (i, j) with the row offset i*Wp + j of their shifted window."""
+    return [(i, j, i * wp + j) for i in range(kh) for j in range(kw)]
 
 
 def conv2d_forward(x: np.ndarray, params: dict[str, np.ndarray],
@@ -120,10 +114,14 @@ def conv2d_forward(x: np.ndarray, params: dict[str, np.ndarray],
         raise ShapeError(f"conv2d channels mismatch: input {x.shape} vs kernels {kernels.shape}")
     h, w = x.shape[:2]
     oh, ow = conv_output_hw(h, w, kh, kw, padding)
-    xp = T.pad2d(x, (kh - 1) // 2) if padding == "same" else x
-    cols = _im2col(xp, kh, kw, oh, ow)
-    out = T.matmul(cols, kernels.reshape(kh * kw * cin, cout)) + bias
-    return out.reshape(oh, ow, cout)
+    pad = (kh - 1) // 2 if padding == "same" else 0
+    wp = w + 2 * pad
+    flat = _padded_rows(x, pad, kw)
+    n = oh * wp
+    out = np.zeros((n, cout), dtype=np.result_type(x, kernels))
+    for i, j, s in _taps(kh, kw, wp):
+        out += T.matmul(flat[s:s + n], kernels[i, j])
+    return out.reshape(oh, wp, cout)[:, :ow] + bias
 
 
 def conv2d_backward(x: np.ndarray, params: dict[str, np.ndarray], upstream: np.ndarray,
@@ -138,51 +136,60 @@ def conv2d_backward(x: np.ndarray, params: dict[str, np.ndarray], upstream: np.n
         raise ShapeError(
             f"conv2d upstream shape {upstream.shape} != forward output {(oh, ow, cout)}")
     pad = (kh - 1) // 2 if padding == "same" else 0
-    xp = T.pad2d(x, pad) if pad else x
-    cols = _im2col(xp, kh, kw, oh, ow)
-    up = upstream.reshape(oh * ow, cout)
-    d_kernels = T.matmul(cols.T, up).reshape(kh, kw, cin, cout)
-    d_bias = up.sum(axis=0)
-    d_cols = T.matmul(up, kernels.reshape(kh * kw * cin, cout).T)
-    d_xp = _col2im(d_cols, xp.shape[0], xp.shape[1], cin, kh, kw, oh, ow)
-    d_x = d_xp[pad:pad + h, pad:pad + w, :] if pad else d_xp
+    hp, wp = h + 2 * pad, w + 2 * pad
+    flat = _padded_rows(x, pad, kw)
+    n = oh * wp
+    # wide rows: the kw-1 columns past the output width carry zero gradient
+    up = np.zeros((oh, wp, cout), dtype=upstream.dtype)
+    up[:, :ow] = upstream
+    up = up.reshape(n, cout)
+    d_kernels = np.empty(kernels.shape, dtype=np.result_type(x, upstream))
+    d_flat = np.zeros((flat.shape[0], cin), dtype=np.result_type(upstream, kernels))
+    for i, j, s in _taps(kh, kw, wp):
+        d_kernels[i, j] = T.matmul(flat[s:s + n].T, up)
+        d_flat[s:s + n] += T.matmul(up, kernels[i, j].T)
+    d_bias = upstream.reshape(oh * ow, cout).sum(axis=0)
+    d_x = d_flat[:hp * wp].reshape(hp, wp, cin)[pad:pad + h, pad:pad + w]
     return {"kernels": d_kernels, "bias": d_bias, "input": d_x}
 
 
 # ---------------------------------------------------------------------------
 # max pooling (2x2, stride 2; odd trailing row/column dropped)
 
+def _windows(x: np.ndarray, oh: int, ow: int) -> list[np.ndarray]:
+    """The four strided views of 2x2 windows, in row-major position order."""
+    return [x[di:2 * oh:2, dj:2 * ow:2] for di in (0, 1) for dj in (0, 1)]
+
+
 def maxpool2d_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Returns (pooled, indices); indices record the winning position 0..3
-    within each window (row-major, ties to the lowest index)."""
+    within each window (row-major, ties to the lowest index). A window
+    holding NaN pools to NaN."""
     if x.ndim != 3:
         raise ShapeError(f"maxpool input must be [H, W, C], got shape {x.shape}")
-    h, w, c = x.shape
+    h, w = x.shape[:2]
     if h < 2 or w < 2:
         raise ShapeError(f"maxpool needs H, W >= 2, got {h}x{w}")
-    oh, ow = h // 2, w // 2
-    windows = np.stack([
-        x[0:2 * oh:2, 0:2 * ow:2, :],
-        x[0:2 * oh:2, 1:2 * ow:2, :],
-        x[1:2 * oh:2, 0:2 * ow:2, :],
-        x[1:2 * oh:2, 1:2 * ow:2, :],
-    ])
-    idx = np.argmax(windows, axis=0)
-    out = np.take_along_axis(windows, idx[None], axis=0)[0]
+    a, b, c, d = _windows(x, h // 2, w // 2)
+    out = np.maximum(np.maximum(a, b), np.maximum(c, d))
+    # first match wins: idx = 0 if a hit, else 1 if b hit, else 2 if c hit, else 3
+    idx = (c != out).astype(np.uint8)
+    idx += 1
+    idx *= b != out
+    idx += 1
+    idx *= a != out
     return out, idx
 
 
 def maxpool2d_backward(indices: np.ndarray, upstream: np.ndarray,
                        input_shape: tuple[int, int, int]) -> np.ndarray:
     """Route each upstream value to its recorded argmax position."""
-    oh, ow, c = upstream.shape
     if indices.shape != upstream.shape:
         raise ShapeError(f"maxpool indices {indices.shape} vs upstream {upstream.shape}")
+    oh, ow, _ = upstream.shape
     d_x = np.zeros(input_shape, dtype=upstream.dtype)
-    rows = 2 * np.arange(oh)[:, None, None] + indices // 2
-    cols = 2 * np.arange(ow)[None, :, None] + indices % 2
-    chan = np.broadcast_to(np.arange(c), indices.shape)
-    np.add.at(d_x, (rows, cols, chan), upstream)
+    for k, window in enumerate(_windows(d_x, oh, ow)):
+        window[...] = np.where(indices == k, upstream, 0)
     return d_x
 
 

@@ -99,65 +99,50 @@ class _Namer:
         return base if n == 0 else f"{base}_{n}"
 
 
-def build_cnn(config: CnnConfig | None = None, *, seed: int = 0) -> SequentialModel:
-    """Build the convolutional classifier; defaults give the stock network."""
-    cfg = config or CnnConfig()
+def cnn_spec(cfg: CnnConfig) -> ModelSpec:
+    """Layer specs of the convolutional classifier; draws no parameters."""
     if cfg.input_size < 3 or cfg.channels < 1 or cfg.classes < 2 or cfg.dense_units < 1:
         raise ConfigError(f"invalid CNN config: {cfg}")
     if not cfg.filters or any(f < 1 for f in cfg.filters):
         raise ConfigError(f"CNN filter progression must be positive: {cfg.filters}")
-    rng = np.random.default_rng(seed)
     name = _Namer()
     specs: list[LayerSpec] = []
-    params: list[dict[str, np.ndarray]] = []
     shape = (cfg.input_size, cfg.input_size, cfg.channels)
 
-    def add(spec: LayerSpec, p: dict[str, np.ndarray]) -> tuple[int, ...]:
+    def add(spec: LayerSpec) -> tuple[int, ...]:
         specs.append(spec)
-        params.append(p)
         return spec.output_shape
 
     for n_filters in cfg.filters:
         for padding in ("same", "valid"):
             layer_name = name("conv2d")
-            h, w, cin = shape
+            h, w, _ = shape
             if padding == "valid" and (h < 3 or w < 3):
                 raise ConfigError(
                     f"layer {layer_name}: input {h}x{w} too small for a 3x3 valid conv")
             oh, ow = L.conv_output_hw(h, w, 3, 3, padding)
             shape = add(LayerSpec("conv", layer_name, shape, (oh, ow, n_filters),
-                                  activation="relu", padding=padding),
-                        L.init_conv(3, 3, cin, n_filters, rng))
+                                  activation="relu", padding=padding))
         layer_name = name("max_pooling2d")
         h, w, c = shape
         if h < 2 or w < 2:
             raise ConfigError(f"layer {layer_name}: input {h}x{w} too small for 2x2 pooling")
-        shape = add(LayerSpec("maxpool", layer_name, shape, (h // 2, w // 2, c)), {})
+        shape = add(LayerSpec("maxpool", layer_name, shape, (h // 2, w // 2, c)))
 
-    shape = add(LayerSpec("dropout", name("dropout"), shape, shape,
-                          rate=cfg.conv_dropout), {})
-    flat = int(np.prod(shape))
-    shape = add(LayerSpec("flatten", name("flatten"), shape, (flat,)), {})
+    shape = add(LayerSpec("dropout", name("dropout"), shape, shape, rate=cfg.conv_dropout))
+    shape = add(LayerSpec("flatten", name("flatten"), shape, (int(np.prod(shape)),)))
     shape = add(LayerSpec("dense", name("dense"), shape, (cfg.dense_units,),
-                          activation="relu"),
-                L.init_dense(flat, cfg.dense_units, rng))
-    shape = add(LayerSpec("dropout", name("dropout"), shape, shape,
-                          rate=cfg.dense_dropout), {})
-    shape = add(LayerSpec("dense", name("dense"), shape, (cfg.classes,),
-                          activation="softmax"),
-                L.init_dense(cfg.dense_units, cfg.classes, rng))
-
-    spec = ModelSpec("cnn", cfg, specs, (cfg.input_size, cfg.input_size, cfg.channels),
+                          activation="relu"))
+    shape = add(LayerSpec("dropout", name("dropout"), shape, shape, rate=cfg.dense_dropout))
+    add(LayerSpec("dense", name("dense"), shape, (cfg.classes,), activation="softmax"))
+    return ModelSpec("cnn", cfg, specs, (cfg.input_size, cfg.input_size, cfg.channels),
                      cfg.classes)
-    return SequentialModel(spec, params)
 
 
-def build_lstm(config: LstmConfig | None = None, *, seed: int = 0) -> SequentialModel:
-    """Build the recurrent classifier; defaults give the stock network."""
-    cfg = config or LstmConfig()
+def lstm_spec(cfg: LstmConfig) -> ModelSpec:
+    """Layer specs of the recurrent classifier; draws no parameters."""
     if min(cfg.timesteps, cfg.features, cfg.hidden, cfg.dense_units) < 1 or cfg.classes < 2:
         raise ConfigError(f"invalid LSTM config: {cfg}")
-    rng = np.random.default_rng(seed)
     name = _Namer()
     in_shape = (cfg.timesteps, cfg.features)
     specs = [
@@ -167,13 +152,48 @@ def build_lstm(config: LstmConfig | None = None, *, seed: int = 0) -> Sequential
         LayerSpec("dense", name("dense"), (cfg.dense_units,), (cfg.classes,),
                   activation="softmax"),
     ]
-    params = [
-        L.init_lstm(cfg.features, cfg.hidden, rng),
-        L.init_dense(cfg.hidden, cfg.dense_units, rng),
-        L.init_dense(cfg.dense_units, cfg.classes, rng),
-    ]
-    spec = ModelSpec("lstm", cfg, specs, in_shape, cfg.classes)
+    return ModelSpec("lstm", cfg, specs, in_shape, cfg.classes)
+
+
+def param_shapes(layer: LayerSpec) -> dict[str, tuple[int, ...]]:
+    """Parameter names and shapes of one layer, in model-file order."""
+    if layer.kind == "conv":
+        cin, cout = layer.input_shape[2], layer.output_shape[2]
+        return {"kernels": (3, 3, cin, cout), "bias": (cout,)}
+    if layer.kind == "dense":
+        n_in, n_out = layer.input_shape[0], layer.output_shape[0]
+        return {"weights": (n_in, n_out), "bias": (n_out,)}
+    if layer.kind == "lstm":
+        n_in, hidden = layer.input_shape[1], layer.output_shape[0]
+        return {"w_input": (n_in, 4 * hidden), "w_recurrent": (hidden, 4 * hidden),
+                "bias": (4 * hidden,)}
+    return {}
+
+
+# kind -> initializer called with the layer's parameter shapes
+_INIT = {
+    "conv": lambda s, rng: L.init_conv(*s["kernels"], rng),
+    "dense": lambda s, rng: L.init_dense(*s["weights"], rng),
+    "lstm": lambda s, rng: L.init_lstm(s["w_input"][0], s["w_recurrent"][0], rng),
+}
+
+
+def _initialized(spec: ModelSpec, seed: int) -> SequentialModel:
+    """Draw every layer's parameters in layer order from one seeded stream."""
+    rng = np.random.default_rng(seed)
+    params = [_INIT[layer.kind](param_shapes(layer), rng) if layer.kind in _INIT else {}
+              for layer in spec.layers]
     return SequentialModel(spec, params)
+
+
+def build_cnn(config: CnnConfig | None = None, *, seed: int = 0) -> SequentialModel:
+    """Build the convolutional classifier; defaults give the stock network."""
+    return _initialized(cnn_spec(config or CnnConfig()), seed)
+
+
+def build_lstm(config: LstmConfig | None = None, *, seed: int = 0) -> SequentialModel:
+    """Build the recurrent classifier; defaults give the stock network."""
+    return _initialized(lstm_spec(config or LstmConfig()), seed)
 
 
 # ---------------------------------------------------------------------------

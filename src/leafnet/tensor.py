@@ -69,17 +69,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / np.sum(e)
 
 
-def pad2d(x: np.ndarray, pad: int) -> np.ndarray:
-    """Zero-pad the two leading (spatial) axes of an [H, W, C] tensor."""
-    if x.ndim != 3:
-        raise ShapeError(f"pad2d needs an [H, W, C] tensor, got shape {x.shape}")
-    if pad < 0:
-        raise ShapeError(f"pad2d pad must be >= 0, got {pad}")
-    if pad == 0:
-        return x
-    return np.pad(x, ((pad, pad), (pad, pad), (0, 0)))
-
-
 def slice_axis(x: np.ndarray, axis: int, start: int, stop: int) -> np.ndarray:
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"axis {axis} invalid for shape {x.shape}")

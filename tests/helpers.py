@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import struct
 import zlib
 from pathlib import Path
@@ -84,3 +85,31 @@ def make_dataset_tree(root: Path, class_colors: dict, n_train: int = 3,
                               0, 255).astype(np.uint8)
                 write_ppm(d / f"img_{i}.ppm", img)
     return root
+
+
+def _without(d: dict, key: str) -> dict:
+    return {k: v for k, v in d.items() if k != key}
+
+
+# Malformed manifests load_model must reject with ModelFormatError:
+# case name -> manifest dict -> rewritten manifest (any JSON value).
+MALFORMED_MANIFESTS = {
+    "missing-arch": lambda m: _without(m, "arch"),
+    "unknown-config-key": lambda m: {**m, "config": {**m["config"], "bogus": 1}},
+    "non-object": lambda m: [m],
+    "layer-without-name": lambda m: {
+        **m, "layers": [_without(m["layers"][0], "name")] + m["layers"][1:]},
+    "layer-without-params": lambda m: {
+        **m, "layers": [_without(m["layers"][0], "params")] + m["layers"][1:]},
+    "label-map-length": lambda m: {**m, "label_map": m["label_map"][:-1]},
+}
+
+
+def rewrite_manifest(src: Path, dst: Path, mutate) -> None:
+    """Copy a model file with its JSON manifest replaced by mutate(manifest);
+    the parameter bytes are kept as they are."""
+    blob = src.read_bytes()
+    mlen, = struct.unpack("<I", blob[8:12])
+    manifest = json.dumps(mutate(json.loads(blob[12:12 + mlen]))).encode("utf-8")
+    dst.write_bytes(blob[:8] + struct.pack("<I", len(manifest)) + manifest
+                    + blob[12 + mlen:])

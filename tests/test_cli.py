@@ -4,8 +4,10 @@ import subprocess
 import numpy as np
 import pytest
 
-from helpers import make_dataset_tree
+from helpers import MALFORMED_MANIFESTS, make_dataset_tree, rewrite_manifest
+from leafnet import data as D
 from leafnet import metrics as MET
+from leafnet import models as M
 from leafnet.cli import main
 
 TWO_CLASS = {"blight": (170, 110, 30), "healthy": (40, 200, 40)}
@@ -171,6 +173,18 @@ class TestPredict:
         junk = tmp_path / "junk.ppm"
         junk.write_bytes(b"this is not an image")
         assert main(["predict", str(model), str(junk)]) == 2
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+    def test_malformed_manifest_exit_2(self, tree, tmp_path, capsys, case):
+        model = M.build_cnn(M.CnnConfig(input_size=16, filters=(4, 8), dense_units=16,
+                                        classes=2))
+        model.label_map = sorted(TWO_CLASS)
+        D.save_model(model, tmp_path / "m.leaf")
+        bad = tmp_path / "bad.leaf"
+        rewrite_manifest(tmp_path / "m.leaf", bad, MALFORMED_MANIFESTS[case])
+        image = next((tree / "valid" / "healthy").iterdir())
+        assert main(["predict", str(bad), str(image)]) == 2
+        assert "bad.leaf" in capsys.readouterr().err
 
 
 class TestUsage:

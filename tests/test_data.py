@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import make_dataset_tree, write_png, write_ppm
+from helpers import (MALFORMED_MANIFESTS, make_dataset_tree, rewrite_manifest,
+                     write_png, write_ppm)
 from leafnet import data as D
 from leafnet import models as M
 from leafnet.errors import (ConfigError, DatasetError, DecodeError,
@@ -91,6 +92,17 @@ class TestDecoding:
         rgba = np.random.default_rng(2).integers(0, 256, (4, 4, 4)).astype(np.uint8)
         write_png(tmp_path / "a.png", rgba)
         np.testing.assert_array_equal(D.decode_image(tmp_path / "a.png"), rgba[:, :, :3])
+
+    def test_zero_sized_ppm_rejected(self, tmp_path):
+        (tmp_path / "empty.ppm").write_bytes(b"P6 0 0 255\n")
+        with pytest.raises(DecodeError, match="empty.ppm"):
+            D.load_image(tmp_path / "empty.ppm")
+
+    @pytest.mark.parametrize("shape", [(0, 4, 3), (4, 0, 3)])
+    def test_zero_sized_png_rejected(self, tmp_path, shape):
+        write_png(tmp_path / "empty.png", np.zeros(shape, np.uint8))
+        with pytest.raises(DecodeError, match="empty.png"):
+            D.load_image(tmp_path / "empty.png")
 
     def test_unknown_format_rejected(self, tmp_path):
         (tmp_path / "junk.ppm").write_bytes(b"not an image at all")
@@ -282,10 +294,35 @@ class TestModelFile:
         with pytest.raises(ModelFormatError, match="trailing"):
             D.load_model(tmp_path / "g.leaf")
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+    def test_malformed_manifest_rejected(self, tmp_path, case):
+        D.save_model(self.small_model(), tmp_path / "m.leaf")
+        rewrite_manifest(tmp_path / "m.leaf", tmp_path / "bad.leaf", MALFORMED_MANIFESTS[case])
+        with pytest.raises(ModelFormatError, match="bad.leaf"):
+            D.load_model(tmp_path / "bad.leaf")
+
+    def test_load_draws_no_parameters(self, tmp_path, monkeypatch):
+        model = self.small_model()
+        D.save_model(model, tmp_path / "m.leaf")
+        monkeypatch.setattr(M.L, "he_uniform", None)
+        monkeypatch.setattr(M.L, "glorot_uniform", None)
+        loaded = D.load_model(tmp_path / "m.leaf")
+        for a, b in zip(model.params, loaded.params):
+            assert list(a) == list(b)
+            for key in a:
+                assert np.array_equal(a[key], b[key])
+
     def test_no_partial_file_on_save(self, tmp_path):
         model = self.small_model()
         D.save_model(model, tmp_path / "m.leaf")
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_failed_save_leaves_no_temp_file(self, tmp_path):
+        model = self.small_model()
+        model.params[-1]["bias"] = np.array(["not a number"], dtype=object)
+        with pytest.raises(ValueError):
+            D.save_model(model, tmp_path / "m.leaf")
+        assert not list(tmp_path.iterdir())
 
     def test_wire_format_layout(self, tmp_path):
         import json

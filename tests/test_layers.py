@@ -3,7 +3,8 @@ import pytest
 
 from helpers import assert_grads_close, fd_grads
 from leafnet import layers as L
-from leafnet.errors import ConfigError, ShapeError
+from leafnet import tensor as T
+from leafnet.errors import ConfigError, NumericError, ShapeError
 
 
 def rand_params(init, *args, seed=0, dtype=np.float64):
@@ -67,11 +68,17 @@ class TestConvBackward:
         np.testing.assert_array_equal(g["bias"], [16.0, 16.0])
 
     @pytest.mark.parametrize("padding", ["same", "valid"])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_finite_differences(self, padding, seed):
+    @pytest.mark.parametrize("seed,shape", [
+        pytest.param(0, (6, 6, 2), id="0"),
+        pytest.param(1, (6, 6, 2), id="1"),
+        pytest.param(2, (6, 6, 2), id="2"),
+        pytest.param(3, (5, 7, 2), id="5x7x2"),
+        pytest.param(4, (6, 6, 3), id="6x6x3"),
+    ])
+    def test_matches_finite_differences(self, padding, seed, shape):
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal((6, 6, 2))
-        params = {"kernels": rng.standard_normal((3, 3, 2, 3)) * 0.5,
+        x = rng.standard_normal(shape)
+        params = {"kernels": rng.standard_normal((3, 3, shape[2], 3)) * 0.5,
                   "bias": rng.standard_normal(3) * 0.1}
         target = rng.standard_normal(L.conv2d_forward(x, params, padding).shape)
 
@@ -85,6 +92,40 @@ class TestConvBackward:
         assert_grads_close(analytic, numeric)
         numeric_x = fd_grads(loss, {"input": x})
         assert_grads_close({"input": analytic["input"]}, numeric_x)
+
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    def test_matches_nested_loop_reference(self, padding):
+        """Direct convolution with its own padding and loops as the oracle."""
+        rng = np.random.default_rng(20)
+        h, w, cin, cout = 5, 7, 3, 4
+        x = rng.standard_normal((h, w, cin))
+        kernels = rng.standard_normal((3, 3, cin, cout))
+        params = {"kernels": kernels, "bias": rng.standard_normal(cout)}
+        pad = 1 if padding == "same" else 0
+        xp = np.zeros((h + 2 * pad, w + 2 * pad, cin))
+        xp[pad:pad + h, pad:pad + w] = x
+        oh, ow = xp.shape[0] - 2, xp.shape[1] - 2
+        up = rng.standard_normal((oh, ow, cout))
+        out = np.zeros((oh, ow, cout))
+        d_kernels = np.zeros_like(kernels)
+        d_xp = np.zeros_like(xp)
+        for y in range(oh):
+            for xx in range(ow):
+                for co in range(cout):
+                    out[y, xx, co] = params["bias"][co]
+                    for i in range(3):
+                        for j in range(3):
+                            for ci in range(cin):
+                                out[y, xx, co] += xp[y + i, xx + j, ci] * kernels[i, j, ci, co]
+                                d_kernels[i, j, ci, co] += xp[y + i, xx + j, ci] * up[y, xx, co]
+                                d_xp[y + i, xx + j, ci] += kernels[i, j, ci, co] * up[y, xx, co]
+        np.testing.assert_allclose(L.conv2d_forward(x, params, padding), out,
+                                   rtol=1e-12, atol=1e-12)
+        g = L.conv2d_backward(x, params, up, padding)
+        np.testing.assert_allclose(g["kernels"], d_kernels, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(g["input"], d_xp[pad:pad + h, pad:pad + w],
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(g["bias"], up.sum(axis=(0, 1)), rtol=1e-12, atol=1e-12)
 
     def test_upstream_shape_checked(self):
         rng = np.random.default_rng(5)
@@ -133,6 +174,47 @@ class TestMaxPool:
     def test_small_input_rejected(self):
         with pytest.raises(ShapeError):
             L.maxpool2d_forward(np.zeros((1, 5, 2), np.float32))
+
+    def test_nan_window_pools_to_nan(self):
+        x = np.random.default_rng(21).random((4, 6, 2)).astype(np.float32)
+        x[2, 3, 1] = np.nan
+        out, _ = L.maxpool2d_forward(x)
+        nan = np.zeros(out.shape, bool)
+        nan[1, 1, 1] = True
+        np.testing.assert_array_equal(np.isnan(out), nan)
+        with pytest.raises(NumericError):  # divergence is still caught at the softmax
+            T.softmax(out.ravel())
+
+    def test_four_way_tie_routes_to_index_zero(self):
+        rng = np.random.default_rng(22)
+        base = rng.standard_normal((3, 4, 5)).astype(np.float32)
+        x = np.full((7, 9, 5), 100.0, np.float32)  # dropped row/column hold the largest values
+        x[:6, :8] = np.repeat(np.repeat(base, 2, axis=0), 2, axis=1)
+        out, idx = L.maxpool2d_forward(x)
+        np.testing.assert_array_equal(out, base)
+        assert not idx.any()
+        d_x = L.maxpool2d_backward(idx, np.ones_like(base), x.shape)
+        expected = np.zeros_like(x)
+        expected[0:6:2, 0:8:2] = 1.0
+        np.testing.assert_array_equal(d_x, expected)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_argmax_reference(self, seed):
+        """Stacked-window argmax and np.add.at scatter as the oracle; values
+        drawn from {0, 1, 2} so most windows hold ties."""
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 3, (9, 7, 4)).astype(np.float32)
+        windows = np.stack([x[di:8:2, dj:6:2] for di in (0, 1) for dj in (0, 1)])
+        ref_idx = np.argmax(windows, axis=0)
+        out, idx = L.maxpool2d_forward(x)
+        np.testing.assert_array_equal(out, windows.max(axis=0))
+        np.testing.assert_array_equal(idx, ref_idx)
+        up = rng.standard_normal(out.shape).astype(np.float32)
+        ref = np.zeros_like(x)
+        rows = 2 * np.arange(4)[:, None, None] + ref_idx // 2
+        cols = 2 * np.arange(3)[None, :, None] + ref_idx % 2
+        np.add.at(ref, (rows, cols, np.broadcast_to(np.arange(4), ref_idx.shape)), up)
+        np.testing.assert_array_equal(L.maxpool2d_backward(idx, up, x.shape), ref)
 
 
 class TestDense:

@@ -235,3 +235,13 @@ def test_flat_params_helper_sees_every_tensor():
     model = toy_cnn()
     flat = flat_params(model)
     assert sum(v.size for v in flat.values()) == model.total_params
+
+
+def test_param_shapes_match_initialized_params():
+    """load_model expects the shapes param_shapes gives; they must be what
+    the seeded initializers draw, in the same order."""
+    for model in (M.build_cnn(), M.build_lstm()):
+        for layer, params in zip(model.spec.layers, model.params):
+            shapes = M.param_shapes(layer)
+            assert list(shapes) == list(params)
+            assert shapes == {key: p.shape for key, p in params.items()}

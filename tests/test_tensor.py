@@ -128,17 +128,6 @@ class TestStructuralOps:
         with pytest.raises(ShapeError):
             T.argmax(np.zeros((2, 2)), axis=5)
 
-    def test_pad2d(self):
-        x = np.ones((2, 2, 3), dtype=np.float32)
-        out = T.pad2d(x, 1)
-        assert out.shape == (4, 4, 3)
-        assert out[0].sum() == 0 and out[-1].sum() == 0
-        np.testing.assert_array_equal(out[1:3, 1:3], x)
-
-    def test_pad2d_rank_check(self):
-        with pytest.raises(ShapeError):
-            T.pad2d(np.zeros((2, 2)), 1)
-
     def test_slice_axis(self):
         x = T.tensor(np.arange(24).reshape(2, 3, 4))
         np.testing.assert_array_equal(T.slice_axis(x, 1, 1, 3), x[:, 1:3, :])
@@ -178,7 +167,6 @@ class TestShapeIsFunctionOfShape:
             assert T.softmax(a[0] if k > 0 else a.ravel()).shape == (k,)
             h, w, c = (int(v) for v in rng.integers(1, 6, size=3))
             img = rng.normal(size=(h, w, c)).astype(np.float32)
-            assert T.pad2d(img, 2).shape == (h + 4, w + 4, c)
             assert T.reshape(img, (h * w * c,)).shape == (h * w * c,)
             assert T.reduce_sum(img, axis=0).shape == (w, c)
             assert T.transpose(img, (2, 0, 1)).shape == (c, h, w)
