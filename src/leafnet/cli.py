@@ -128,9 +128,15 @@ def _echo(command: str, **kv) -> None:
 
 
 def _write_text(path: Path, text: str) -> None:
+    """Write atomically: a failed write leaves neither a partial file nor its
+    temp file behind."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def cmd_summary(args) -> int:

@@ -157,6 +157,8 @@ def _decode_png(data: bytes, path: Path) -> np.ndarray:
         chunk = data[pos + 8:pos + 8 + length]
         pos += 12 + length
         if ctype == b"IHDR":
+            if length != 13:
+                raise DecodeError(f"{path}: PNG IHDR chunk has {length} bytes, not 13")
             width, height, depth, color, _, _, interlace = struct.unpack(">IIBBBBB", chunk)
             if width == 0 or height == 0:
                 raise DecodeError(f"{path}: PNG size {width}x{height} has no pixels")
@@ -295,7 +297,9 @@ def load_image(path: str | Path, target: str = "cnn", *, cnn_size: int = 128,
 # batching and datasets
 
 def _epoch_order(n: int, seed: int, epoch: int) -> np.ndarray:
-    return np.random.default_rng(seed ^ epoch).permutation(n)
+    """The shuffle of one epoch; (seed, epoch) seeds the generator as a pair,
+    so no other pair repeats it."""
+    return np.random.default_rng([seed, epoch]).permutation(n)
 
 
 def batches(index: DatasetIndex, split: str, batch_size: int, seed: int, epoch: int,

@@ -1,7 +1,12 @@
 """Forward/backward passes and parameter accounting for every layer kind.
 
 Conventions:
-  - images are channels-last [H, W, C]; dense vectors are 1-D
+  - images are channels-last [H, W, C]; dense vectors are 1-D; LSTM
+    sequences are [T, In]
+  - every layer also takes a leading sample axis ([N, H, W, C], [N, In],
+    [N, T, In]) and returns outputs and input gradients with it; an input
+    without it is a batch of one. Parameter gradients are summed over the
+    samples
   - conv kernels are [Kh, Kw, Cin, Cout], dense weights [In, Out]
   - LSTM packs the four gates along the last axis of W[In, 4H], U[H, 4H]
     and bias[4H] in the fixed order [input, forget, candidate, output];
@@ -10,10 +15,14 @@ Conventions:
     mutates them
 
 Convolution forward and backward are nine shifted GEMMs through the shared
-matmul kernel, so conv and dense exercise one numeric hot path: the padded
-input is flattened once to rows, and kernel tap (i, j) multiplies the rows
-starting at i*Wp + j (Wp the padded width). Outputs are computed on "wide"
-rows of Wp columns and the kw-1 columns past the output width are dropped.
+matmul kernel, so conv and dense exercise one numeric hot path. A chunk of n
+samples is zero-padded and flattened once to rows ordered (padded row r,
+sample b, padded column c), and kernel tap (i, j) multiplies the rows
+starting at i*n*Wp + j (Wp the padded width): one GEMM per tap covers the
+whole chunk, and the kernel gradient sums over it inside that GEMM. Outputs
+are computed on "wide" rows of Wp columns and the kw-1 columns past the
+output width are dropped. A chunk holds max(1, ROWS // (oh*Wp)) samples, so
+large layers run one sample per GEMM and small ones batch.
 """
 
 from __future__ import annotations
@@ -75,7 +84,29 @@ def param_count(params: dict[str, np.ndarray]) -> int:
 
 
 # ---------------------------------------------------------------------------
+# shared shape helpers
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """[..., K] as a 2-D [rows, K] matrix (a view when contiguous)."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def _as_batch(x: np.ndarray, rank: int, what: str) -> np.ndarray:
+    """x with a leading sample axis; a rank-`rank` input is a batch of one."""
+    if x.ndim == rank:
+        return x[None]
+    if x.ndim != rank + 1:
+        raise ShapeError(f"{what}, got shape {x.shape}")
+    return x
+
+
+# ---------------------------------------------------------------------------
 # convolution (3x3, stride 1, same/valid)
+
+# Wide output rows one conv GEMM aims for; chosen by timing the stock CNN's
+# layers at 4 samples (batching the 128x128 and 63x63 layers was slower).
+ROWS = 4096
+
 
 def conv_output_hw(h: int, w: int, kh: int, kw: int, padding: str) -> tuple[int, int]:
     if padding == "same":
@@ -88,69 +119,100 @@ def conv_output_hw(h: int, w: int, kh: int, kw: int, padding: str) -> tuple[int,
     raise ConfigError(f"unknown padding {padding!r}")
 
 
+def _chunks(n: int, rows_per_sample: int):
+    """(first sample, sample count) of each chunk of one conv call."""
+    step = max(1, ROWS // rows_per_sample)
+    return [(b, min(step, n - b)) for b in range(0, n, step)]
+
+
 def _padded_rows(x: np.ndarray, pad: int, kw: int) -> np.ndarray:
-    """Zero-pad [H, W, C] by `pad` on both spatial axes and flatten it to rows
-    [(H+2p)*(W+2p) + kw-1, C]. Row r*Wp + c holds padded pixel (r, c); the
-    kw-1 trailing zero rows let the last shifted window run past the grid."""
-    h, w, c = x.shape
+    """Zero-pad a chunk [n, H, W, C] by `pad` on both spatial axes and flatten
+    it to rows [(H+2p)*n*(W+2p) + kw-1, C]. Row (r*n + b)*Wp + c holds padded
+    pixel (r, c) of sample b; the kw-1 trailing zero rows let the last
+    shifted window run past the grid."""
+    n, h, w, c = x.shape
     hp, wp = h + 2 * pad, w + 2 * pad
-    flat = np.zeros((hp * wp + kw - 1, c), dtype=x.dtype)
-    flat[:hp * wp].reshape(hp, wp, c)[pad:pad + h, pad:pad + w] = x
+    flat = np.zeros((hp * n * wp + kw - 1, c), dtype=x.dtype)
+    flat[:hp * n * wp].reshape(hp, n, wp, c)[pad:pad + h, :, pad:pad + w] = \
+        x.transpose(1, 0, 2, 3)
     return flat
 
 
-def _taps(kh: int, kw: int, wp: int):
-    """Kernel taps (i, j) with the row offset i*Wp + j of their shifted window."""
-    return [(i, j, i * wp + j) for i in range(kh) for j in range(kw)]
+def _unpad(rows: np.ndarray, hp: int, n: int, wp: int, rs: slice, cs: slice) -> np.ndarray:
+    """The [n, len(rs), len(cs), C] view of (row, sample, column)-ordered rows."""
+    return rows[:hp * n * wp].reshape(hp, n, wp, -1)[rs, :, cs].transpose(1, 0, 2, 3)
+
+
+def _taps(kh: int, kw: int, row_stride: int):
+    """Kernel taps (i, j) with the row offset i*row_stride + j of their
+    shifted window; row_stride is n*Wp for a chunk of n samples."""
+    return [(i, j, i * row_stride + j) for i in range(kh) for j in range(kw)]
 
 
 def conv2d_forward(x: np.ndarray, params: dict[str, np.ndarray],
                    padding: str = "same") -> np.ndarray:
-    if x.ndim != 3:
-        raise ShapeError(f"conv2d input must be [H, W, C], got shape {x.shape}")
+    xb = _as_batch(x, 3, "conv2d input must be [H, W, C] or [N, H, W, C]")
     kernels, bias = params["kernels"], params["bias"]
     kh, kw, cin, cout = kernels.shape
-    if x.shape[2] != cin:
+    n, h, w, c = xb.shape
+    if c != cin:
         raise ShapeError(f"conv2d channels mismatch: input {x.shape} vs kernels {kernels.shape}")
-    h, w = x.shape[:2]
     oh, ow = conv_output_hw(h, w, kh, kw, padding)
     pad = (kh - 1) // 2 if padding == "same" else 0
     wp = w + 2 * pad
-    flat = _padded_rows(x, pad, kw)
-    n = oh * wp
-    out = np.zeros((n, cout), dtype=np.result_type(x, kernels))
-    for i, j, s in _taps(kh, kw, wp):
-        out += T.matmul(flat[s:s + n], kernels[i, j])
-    return out.reshape(oh, wp, cout)[:, :ow] + bias
+    acc_dtype = np.result_type(x, kernels)
+    out = np.empty((n, oh, ow, cout), dtype=np.result_type(acc_dtype, bias))
+    for b, nb in _chunks(n, oh * wp):
+        flat = _padded_rows(xb[b:b + nb], pad, kw)
+        m = oh * nb * wp
+        acc = np.zeros((m, cout), dtype=acc_dtype)
+        for i, j, s in _taps(kh, kw, nb * wp):
+            acc += T.matmul(flat[s:s + m], kernels[i, j])
+        np.add(_unpad(acc, oh, nb, wp, slice(None), slice(ow)), bias, out=out[b:b + nb])
+    return out if x.ndim == 4 else out[0]
 
 
 def conv2d_backward(x: np.ndarray, params: dict[str, np.ndarray], upstream: np.ndarray,
-                    padding: str = "same") -> dict[str, np.ndarray]:
-    """Gradients for kernels, bias, and input. Bias grad is the per-channel
-    sum of the upstream gradient."""
+                    padding: str = "same", need_input: bool = True) -> dict[str, np.ndarray]:
+    """Gradients for kernels, bias and, unless `need_input` is false, the
+    input. Bias grad is the per-channel sum of the upstream gradient."""
+    xb = _as_batch(x, 3, "conv2d input must be [H, W, C] or [N, H, W, C]")
     kernels = params["kernels"]
     kh, kw, cin, cout = kernels.shape
-    h, w = x.shape[:2]
+    n, h, w, _ = xb.shape
     oh, ow = conv_output_hw(h, w, kh, kw, padding)
-    if upstream.shape != (oh, ow, cout):
-        raise ShapeError(
-            f"conv2d upstream shape {upstream.shape} != forward output {(oh, ow, cout)}")
+    if upstream.shape != x.shape[:-3] + (oh, ow, cout):
+        raise ShapeError(f"conv2d upstream shape {upstream.shape} != forward output "
+                         f"{x.shape[:-3] + (oh, ow, cout)}")
+    ub = upstream if x.ndim == 4 else upstream[None]
     pad = (kh - 1) // 2 if padding == "same" else 0
     hp, wp = h + 2 * pad, w + 2 * pad
-    flat = _padded_rows(x, pad, kw)
-    n = oh * wp
-    # wide rows: the kw-1 columns past the output width carry zero gradient
-    up = np.zeros((oh, wp, cout), dtype=upstream.dtype)
-    up[:, :ow] = upstream
-    up = up.reshape(n, cout)
     d_kernels = np.empty(kernels.shape, dtype=np.result_type(x, upstream))
-    d_flat = np.zeros((flat.shape[0], cin), dtype=np.result_type(upstream, kernels))
-    for i, j, s in _taps(kh, kw, wp):
-        d_kernels[i, j] = T.matmul(flat[s:s + n].T, up)
-        d_flat[s:s + n] += T.matmul(up, kernels[i, j].T)
-    d_bias = upstream.reshape(oh * ow, cout).sum(axis=0)
-    d_x = d_flat[:hp * wp].reshape(hp, wp, cin)[pad:pad + h, pad:pad + w]
-    return {"kernels": d_kernels, "bias": d_bias, "input": d_x}
+    d_chunks = []
+    for b, nb in _chunks(n, oh * wp):
+        flat = _padded_rows(xb[b:b + nb], pad, kw)
+        m = oh * nb * wp
+        # wide rows: the kw-1 columns past the output width carry zero gradient
+        up = np.zeros((oh, nb, wp, cout), dtype=upstream.dtype)
+        up[:, :, :ow] = ub[b:b + nb].transpose(1, 0, 2, 3)
+        up = up.reshape(m, cout)
+        if need_input:
+            d_flat = np.zeros((flat.shape[0], cin), dtype=np.result_type(upstream, kernels))
+        for i, j, s in _taps(kh, kw, nb * wp):
+            g = T.matmul(flat[s:s + m].T, up)
+            if b:
+                d_kernels[i, j] += g
+            else:
+                d_kernels[i, j] = g
+            if need_input:
+                d_flat[s:s + m] += T.matmul(up, kernels[i, j].T)
+        if need_input:
+            d_chunks.append(_unpad(d_flat, hp, nb, wp, slice(pad, pad + h), slice(pad, pad + w)))
+    grads = {"kernels": d_kernels, "bias": _rows(upstream).sum(axis=0)}
+    if need_input:
+        d_x = d_chunks[0] if len(d_chunks) == 1 else np.concatenate(d_chunks)
+        grads["input"] = d_x if x.ndim == 4 else d_x[0]
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +220,16 @@ def conv2d_backward(x: np.ndarray, params: dict[str, np.ndarray], upstream: np.n
 
 def _windows(x: np.ndarray, oh: int, ow: int) -> list[np.ndarray]:
     """The four strided views of 2x2 windows, in row-major position order."""
-    return [x[di:2 * oh:2, dj:2 * ow:2] for di in (0, 1) for dj in (0, 1)]
+    return [x[..., di:2 * oh:2, dj:2 * ow:2, :] for di in (0, 1) for dj in (0, 1)]
 
 
 def maxpool2d_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Returns (pooled, indices); indices record the winning position 0..3
     within each window (row-major, ties to the lowest index). A window
     holding NaN pools to NaN."""
-    if x.ndim != 3:
-        raise ShapeError(f"maxpool input must be [H, W, C], got shape {x.shape}")
-    h, w = x.shape[:2]
+    if x.ndim not in (3, 4):
+        raise ShapeError(f"maxpool input must be [H, W, C] or [N, H, W, C], got shape {x.shape}")
+    h, w = x.shape[-3:-1]
     if h < 2 or w < 2:
         raise ShapeError(f"maxpool needs H, W >= 2, got {h}x{w}")
     a, b, c, d = _windows(x, h // 2, w // 2)
@@ -182,11 +244,11 @@ def maxpool2d_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def maxpool2d_backward(indices: np.ndarray, upstream: np.ndarray,
-                       input_shape: tuple[int, int, int]) -> np.ndarray:
+                       input_shape: tuple[int, ...]) -> np.ndarray:
     """Route each upstream value to its recorded argmax position."""
     if indices.shape != upstream.shape:
         raise ShapeError(f"maxpool indices {indices.shape} vs upstream {upstream.shape}")
-    oh, ow, _ = upstream.shape
+    oh, ow = upstream.shape[-3:-1]
     d_x = np.zeros(input_shape, dtype=upstream.dtype)
     for k, window in enumerate(_windows(d_x, oh, ow)):
         window[...] = np.where(indices == k, upstream, 0)
@@ -198,20 +260,23 @@ def maxpool2d_backward(indices: np.ndarray, upstream: np.ndarray,
 
 def dense_forward(x: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarray:
     weights, bias = params["weights"], params["bias"]
-    if x.ndim != 1 or x.shape[0] != weights.shape[0]:
+    if x.ndim not in (1, 2) or x.shape[-1] != weights.shape[0]:
         raise ShapeError(f"dense input shape {x.shape} vs weights {weights.shape}")
-    return T.matmul(x[None, :], weights)[0] + bias
+    return T.matmul(_rows(x), weights).reshape(x.shape[:-1] + bias.shape) + bias
 
 
 def dense_backward(x: np.ndarray, params: dict[str, np.ndarray],
                    upstream: np.ndarray) -> dict[str, np.ndarray]:
+    """dW = X^T U, db = column sums of U (both over the samples), dX = U W^T."""
     weights = params["weights"]
-    if upstream.shape != (weights.shape[1],):
-        raise ShapeError(f"dense upstream shape {upstream.shape} vs weights {weights.shape}")
+    if upstream.shape != x.shape[:-1] + (weights.shape[1],):
+        raise ShapeError(f"dense upstream shape {upstream.shape} vs input {x.shape} "
+                         f"and weights {weights.shape}")
+    u = _rows(upstream)
     return {
-        "weights": T.matmul(x[:, None], upstream[None, :]),
-        "bias": upstream.copy(),
-        "input": T.matmul(weights, upstream[:, None])[:, 0],
+        "weights": T.matmul(_rows(x).T, u),
+        "bias": u.sum(axis=0),
+        "input": T.matmul(u, weights.T).reshape(x.shape),
     }
 
 
@@ -250,9 +315,9 @@ def dropout_backward(mask: DropoutMask, upstream: np.ndarray) -> np.ndarray:
 # flatten
 
 def flatten(x: np.ndarray) -> np.ndarray:
-    if x.ndim != 3:
-        raise ShapeError(f"flatten expects [H, W, C], got shape {x.shape}")
-    return T.reshape(x, (x.size,))
+    if x.ndim not in (3, 4):
+        raise ShapeError(f"flatten expects [H, W, C] or [N, H, W, C], got shape {x.shape}")
+    return T.reshape(x, x.shape[:-3] + (int(np.prod(x.shape[-3:])),))
 
 
 # ---------------------------------------------------------------------------
@@ -267,30 +332,46 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def lstm_cell_step(x: np.ndarray, h: np.ndarray, c: np.ndarray,
-                   params: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray, dict]:
-    """One recurrence step.
-
-    z = x W + h U + b is split into [i, f, g, o]; then
-    c' = sigmoid(f) * c + sigmoid(i) * tanh(g) and h' = sigmoid(o) * tanh(c').
-    The cache retains everything the backward pass needs.
-    """
-    w, u, b = params["w_input"], params["w_recurrent"], params["bias"]
-    n_in, four_h = w.shape
-    hidden = four_h // 4
-    if x.shape != (n_in,) or h.shape != (hidden,) or c.shape != (hidden,):
-        raise ShapeError(
-            f"lstm step shapes: x {x.shape}, h {h.shape}, c {c.shape} "
-            f"vs W {w.shape}")
-    z = T.matmul(x[None, :], w)[0] + T.matmul(h[None, :], u)[0] + b
-    zi, zf, zg, zo = (z[k * hidden:(k + 1) * hidden] for k in range(4))
+def _gates(z: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Split z = x W + h U + b into [i, f, g, o] along its last axis; then
+    c' = sigmoid(f) * c + sigmoid(i) * tanh(g) and h' = sigmoid(o) * tanh(c')."""
+    hidden = z.shape[-1] // 4
+    zi, zf, zg, zo = (z[..., k * hidden:(k + 1) * hidden] for k in range(4))
     i, f, o = _sigmoid(zi), _sigmoid(zf), _sigmoid(zo)
     g = np.tanh(zg)
     c_new = f * c + i * g
     tanh_c = np.tanh(c_new)
-    h_new = o * tanh_c
-    cache = {"x": x, "h_prev": h, "c_prev": c, "i": i, "f": f, "g": g, "o": o,
-             "tanh_c": tanh_c}
+    return o * tanh_c, c_new, {"c_prev": c, "i": i, "f": f, "g": g, "o": o,
+                               "tanh_c": tanh_c}
+
+
+def _gate_grads(cache: dict, dh: np.ndarray, dc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """dL/dz of one step and dL/dc (the cell state's own path) given dL/dh'
+    and dL/dc'."""
+    i, f, g, o = cache["i"], cache["f"], cache["g"], cache["o"]
+    tanh_c = cache["tanh_c"]
+    dc_total = dc + dh * o * (1.0 - tanh_c * tanh_c)
+    d_zo = dh * tanh_c * o * (1.0 - o)
+    d_zf = dc_total * cache["c_prev"] * f * (1.0 - f)
+    d_zi = dc_total * g * i * (1.0 - i)
+    d_zg = dc_total * i * (1.0 - g * g)
+    return np.concatenate([d_zi, d_zf, d_zg, d_zo], axis=-1), dc_total * f
+
+
+def lstm_cell_step(x: np.ndarray, h: np.ndarray, c: np.ndarray,
+                   params: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray, dict]:
+    """One recurrence step on x [In] or [N, In] (see _gates). The cache
+    retains everything lstm_cell_backward needs."""
+    w, u, b = params["w_input"], params["w_recurrent"], params["bias"]
+    n_in, four_h = w.shape
+    state = x.shape[:-1] + (four_h // 4,)
+    if x.ndim not in (1, 2) or x.shape[-1] != n_in or h.shape != state or c.shape != state:
+        raise ShapeError(
+            f"lstm step shapes: x {x.shape}, h {h.shape}, c {c.shape} "
+            f"vs W {w.shape}")
+    z = (T.matmul(_rows(x), w) + T.matmul(_rows(h), u)).reshape(x.shape[:-1] + (four_h,)) + b
+    h_new, c_new, cache = _gates(z, c)
+    cache.update(x=x, h_prev=h)
     return h_new, c_new, cache
 
 
@@ -299,64 +380,66 @@ def lstm_cell_backward(cache: dict, params: dict[str, np.ndarray],
     """Gradients of one step given dL/dh' and dL/dc' (dc accumulates the
     contribution flowing straight through the cell state)."""
     w, u = params["w_input"], params["w_recurrent"]
-    i, f, g, o = cache["i"], cache["f"], cache["g"], cache["o"]
-    tanh_c = cache["tanh_c"]
-    dc_total = dc + dh * o * (1.0 - tanh_c * tanh_c)
-    d_zo = dh * tanh_c * o * (1.0 - o)
-    d_zf = dc_total * cache["c_prev"] * f * (1.0 - f)
-    d_zi = dc_total * g * i * (1.0 - i)
-    d_zg = dc_total * i * (1.0 - g * g)
-    dz = np.concatenate([d_zi, d_zf, d_zg, d_zo])
+    dz, dc_prev = _gate_grads(cache, dh, dc)
+    dzr = _rows(dz)
     return {
-        "w_input": T.matmul(cache["x"][:, None], dz[None, :]),
-        "w_recurrent": T.matmul(cache["h_prev"][:, None], dz[None, :]),
-        "bias": dz,
-        "input": T.matmul(w, dz[:, None])[:, 0],
-        "h_prev": T.matmul(u, dz[:, None])[:, 0],
-        "c_prev": dc_total * f,
+        "w_input": T.matmul(_rows(cache["x"]).T, dzr),
+        "w_recurrent": T.matmul(_rows(cache["h_prev"]).T, dzr),
+        "bias": dzr.sum(axis=0),
+        "input": T.matmul(dzr, w.T).reshape(cache["x"].shape),
+        "h_prev": T.matmul(dzr, u.T).reshape(dh.shape),
+        "c_prev": dc_prev,
     }
 
 
 def lstm_forward(sequence: np.ndarray, params: dict[str, np.ndarray],
                  return_caches: bool = False):
-    """Run the cell over t = 1..T from zero state; returns the final hidden
-    state (the sequence's summary vector feeding the dense head)."""
-    if sequence.ndim != 2:
-        raise ShapeError(f"lstm input must be [T, In], got shape {sequence.shape}")
-    if sequence.shape[0] < 1:
+    """Run the cell over t = 1..T from zero state on [T, In] or [N, T, In];
+    returns the final hidden state (the sequence's summary vector feeding
+    the dense head). The input projection x W of every step is one GEMM."""
+    if sequence.ndim not in (2, 3):
+        raise ShapeError(f"lstm input must be [T, In] or [N, T, In], got shape {sequence.shape}")
+    if sequence.shape[-2] < 1:
         raise ConfigError("lstm sequence must have at least one step")
-    hidden = params["w_recurrent"].shape[0]
-    h = np.zeros(hidden, dtype=sequence.dtype)
-    c = np.zeros(hidden, dtype=sequence.dtype)
-    caches = []
-    for t in range(sequence.shape[0]):
-        h, c, cache = lstm_cell_step(sequence[t], h, c, params)
+    w, u, b = params["w_input"], params["w_recurrent"], params["bias"]
+    if sequence.shape[-1] != w.shape[0]:
+        raise ShapeError(f"lstm input shape {sequence.shape} vs W {w.shape}")
+    lead, t_steps, four_h = sequence.shape[:-2], sequence.shape[-2], w.shape[1]
+    xw = T.matmul(_rows(sequence), w).reshape(lead + (t_steps, four_h))
+    h_prev = np.zeros(lead + (t_steps, four_h // 4), dtype=xw.dtype)
+    c = np.zeros(lead + (four_h // 4,), dtype=xw.dtype)
+    steps = []
+    for t in range(t_steps):
+        h = h_prev[..., t, :]
+        z = (xw[..., t, :] + T.matmul(_rows(h), u).reshape(lead + (four_h,))) + b
+        h, c, cache = _gates(z, c)
+        if t + 1 < t_steps:
+            h_prev[..., t + 1, :] = h
         if return_caches:
-            caches.append(cache)
+            steps.append(cache)
     if return_caches:
-        return h, caches
+        return h, {"x": sequence, "h_prev": h_prev, "steps": steps}
     return h
 
 
-def lstm_backward(caches: list[dict], params: dict[str, np.ndarray],
-                  dh_last: np.ndarray) -> dict[str, np.ndarray]:
-    """Backpropagate through time from the final hidden state only."""
-    hidden = params["w_recurrent"].shape[0]
-    grads = {
-        "w_input": np.zeros_like(params["w_input"]),
-        "w_recurrent": np.zeros_like(params["w_recurrent"]),
-        "bias": np.zeros_like(params["bias"]),
-    }
-    t_steps = len(caches)
-    d_input = np.zeros((t_steps, params["w_input"].shape[0]), dtype=dh_last.dtype)
-    dh = dh_last
-    dc = np.zeros(hidden, dtype=dh_last.dtype)
-    for t in range(t_steps - 1, -1, -1):
-        step = lstm_cell_backward(caches[t], params, dh, dc)
-        grads["w_input"] += step["w_input"]
-        grads["w_recurrent"] += step["w_recurrent"]
-        grads["bias"] += step["bias"]
-        d_input[t] = step["input"]
-        dh, dc = step["h_prev"], step["c_prev"]
-    grads["input"] = d_input
+def lstm_backward(caches: dict, params: dict[str, np.ndarray], dh_last: np.ndarray,
+                  need_input: bool = True) -> dict[str, np.ndarray]:
+    """Backpropagate through time from the final hidden state only. The time
+    loop carries dh and dc; the weight, bias and input gradients are one GEMM
+    each over every step's dL/dz afterwards."""
+    w, u = params["w_input"], params["w_recurrent"]
+    x, steps = caches["x"], caches["steps"]
+    dz = np.empty(x.shape[:-1] + (w.shape[1],), dtype=np.result_type(dh_last, u))
+    dh, dc = dh_last, np.zeros_like(dh_last)
+    for t in range(len(steps) - 1, -1, -1):
+        dz_t, dc = _gate_grads(steps[t], dh, dc)
+        dz[..., t, :] = dz_t
+        if t:
+            dh = T.matmul(_rows(dz_t), u.T).reshape(dh.shape)
+    dzr = _rows(dz)
+    grads = {"w_input": T.matmul(_rows(x).T, dzr),
+             "w_recurrent": T.matmul(_rows(caches["h_prev"]).T, dzr),
+             "bias": dzr.sum(axis=0)}
+    if need_input:
+        grads["input"] = T.matmul(dzr, w.T).reshape(x.shape)
     return grads

@@ -231,44 +231,46 @@ def summary(model: SequentialModel) -> str:
 # forward / backward / predict
 
 def _check_input(model: SequentialModel, x: np.ndarray) -> None:
-    if tuple(x.shape) != model.spec.input_shape:
-        raise ShapeError(
-            f"input shape mismatch: expected {model.spec.input_shape}, got {tuple(x.shape)}")
+    """x is one sample or a stack [N, ...] of samples of the model's input shape."""
+    shape = model.spec.input_shape
+    if tuple(x.shape) != shape and (x.ndim != len(shape) + 1 or tuple(x.shape[1:]) != shape):
+        raise ShapeError(f"input shape mismatch: expected {shape}, got {tuple(x.shape)}")
 
 
 def _forward(model: SequentialModel, x: np.ndarray, mode: str,
              rng: np.random.Generator | None) -> tuple[np.ndarray, list]:
+    """Layer-by-layer forward over one sample or a stacked batch. Each cache
+    holds what backward needs; conv and dense keep their input and their
+    activated output (ReLU's gradient gate reads out > 0, which is pre > 0)."""
     _check_input(model, x)
     caches: list = []
     out = x
     for spec, params in zip(model.spec.layers, model.params):
+        x_in = out
         if spec.kind == "conv":
-            pre = L.conv2d_forward(out, params, spec.padding)
-            caches.append(("conv", out, pre))
-            out = T.relu(pre) if spec.activation == "relu" else pre
-        elif spec.kind == "maxpool":
-            pooled, idx = L.maxpool2d_forward(out)
-            caches.append(("maxpool", out.shape, idx))
-            out = pooled
-        elif spec.kind == "dropout":
-            out, mask = L.dropout_forward(out, spec.rate, mode, rng)
-            caches.append(("dropout", mask))
-        elif spec.kind == "flatten":
-            caches.append(("flatten", out.shape))
-            out = L.flatten(out)
-        elif spec.kind == "dense":
-            pre = L.dense_forward(out, params)
-            caches.append(("dense", out, pre))
+            out = L.conv2d_forward(x_in, params, spec.padding)
             if spec.activation == "relu":
-                out = T.relu(pre)
+                out = T.relu(out)
+            caches.append((x_in, out))
+        elif spec.kind == "maxpool":
+            out, idx = L.maxpool2d_forward(x_in)
+            caches.append((x_in.shape, idx))
+        elif spec.kind == "dropout":
+            out, mask = L.dropout_forward(x_in, spec.rate, mode, rng)
+            caches.append(mask)
+        elif spec.kind == "flatten":
+            out = L.flatten(x_in)
+            caches.append(x_in.shape)
+        elif spec.kind == "dense":
+            out = L.dense_forward(x_in, params)
+            if spec.activation == "relu":
+                out = T.relu(out)
             elif spec.activation == "softmax":
-                out = T.softmax(pre)
-            else:
-                out = pre
+                out = T.softmax(out)
+            caches.append((x_in, out))
         elif spec.kind == "lstm":
-            h, step_caches = L.lstm_forward(out, params, return_caches=True)
-            caches.append(("lstm", step_caches))
-            out = h
+            out, cache = L.lstm_forward(x_in, params, return_caches=True)
+            caches.append(cache)
         else:
             raise ConfigError(f"unknown layer kind {spec.kind!r}")
     return out, caches
@@ -276,7 +278,8 @@ def _forward(model: SequentialModel, x: np.ndarray, mode: str,
 
 def forward(model: SequentialModel, x: np.ndarray, mode: str = "infer",
             rng: np.random.Generator | None = None) -> np.ndarray:
-    """Class probabilities for one sample; inference is deterministic."""
+    """Class probabilities for one sample ([K]) or a stacked batch ([N, K]);
+    inference is deterministic."""
     probs, _ = _forward(model, x, mode, rng)
     return probs
 
@@ -287,43 +290,53 @@ def forward_train(model: SequentialModel, x: np.ndarray,
     return _forward(model, x, "train", rng)
 
 
-def backward(model: SequentialModel, caches: list,
-             d_logits: np.ndarray) -> list[dict[str, np.ndarray]]:
-    """Backpropagate d(loss)/d(logits) through every layer.
+def _add_into(acc: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    for key, g in grads.items():
+        if key in acc:
+            acc[key] += g
+        else:
+            acc[key] = g
+
+
+def backward(model: SequentialModel, caches: list, d_logits: np.ndarray,
+             grads: list[dict[str, np.ndarray]] | None = None
+             ) -> list[dict[str, np.ndarray]]:
+    """Backpropagate d(loss)/d(logits) through every layer and return the
+    parameter gradients, summed over the samples of the forward pass.
 
     The softmax head is fused with the loss: callers pass the gradient with
     respect to the final pre-softmax logits (probs - onehot for
     cross-entropy), so the last activation is not re-differentiated here.
+    With `grads` (one dict per layer), each layer's gradients are added into
+    it in place as soon as they exist, so no second full gradient set is
+    built. The first layer's input gradient is never computed.
     """
-    grads: list[dict[str, np.ndarray]] = [dict() for _ in model.params]
+    grads = [dict() for _ in model.params] if grads is None else grads
     d_out = d_logits
     for li in range(len(model.spec.layers) - 1, -1, -1):
         spec, params, cache = model.spec.layers[li], model.params[li], caches[li]
-        if spec.kind == "dense":
-            _, x_in, pre = cache
-            if spec.activation == "relu":
-                d_out = T.relu_backward(pre, d_out)
-            g = L.dense_backward(x_in, params, d_out)
-            d_out = g.pop("input")
-            grads[li] = g
-        elif spec.kind == "conv":
-            _, x_in, pre = cache
-            if spec.activation == "relu":
-                d_out = T.relu_backward(pre, d_out)
-            g = L.conv2d_backward(x_in, params, d_out, spec.padding)
-            d_out = g.pop("input")
-            grads[li] = g
-        elif spec.kind == "maxpool":
-            _, in_shape, idx = cache
+        if spec.kind == "maxpool":
+            in_shape, idx = cache
             d_out = L.maxpool2d_backward(idx, d_out, in_shape)
         elif spec.kind == "dropout":
-            d_out = L.dropout_backward(cache[1], d_out)
+            d_out = L.dropout_backward(cache, d_out)
         elif spec.kind == "flatten":
-            d_out = T.reshape(d_out, cache[1])
-        elif spec.kind == "lstm":
-            g = L.lstm_backward(cache[1], params, d_out)
-            d_out = g.pop("input")
-            grads[li] = g
+            d_out = T.reshape(d_out, cache)
+        else:
+            need_input = li > 0
+            if spec.kind == "lstm":
+                g = L.lstm_backward(cache, params, d_out, need_input=need_input)
+            else:
+                x_in, out = cache
+                if spec.activation == "relu":
+                    d_out = T.relu_backward(out, d_out)
+                if spec.kind == "conv":
+                    g = L.conv2d_backward(x_in, params, d_out, spec.padding,
+                                          need_input=need_input)
+                else:
+                    g = L.dense_backward(x_in, params, d_out)
+            d_out = g.pop("input", None)
+            _add_into(grads[li], g)
     return grads
 
 
@@ -334,6 +347,9 @@ def predict(model: SequentialModel, x: np.ndarray) -> tuple[str, float]:
     if len(model.label_map) != model.spec.classes:
         raise ModelStateError(
             f"label map has {len(model.label_map)} entries for {model.spec.classes} classes")
+    if tuple(x.shape) != model.spec.input_shape:
+        raise ShapeError(f"predict takes one input of shape {model.spec.input_shape}, "
+                         f"got {tuple(x.shape)}")
     probs = forward(model, x, mode="infer")
     k = int(T.argmax(probs))
     return model.label_map[k], float(probs[k])

@@ -52,21 +52,23 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Pass upstream gradient where the forward input was positive."""
+    """Pass upstream gradient where x > 0; x may be the forward input or the
+    ReLU's output, which are positive at the same places."""
     if x.shape != upstream.shape:
         raise ShapeError(f"relu_backward shape mismatch: {x.shape} vs {upstream.shape}")
     return np.where(x > 0, upstream, 0)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Exp-normalize a 1-D logit vector; max-subtraction keeps exp in range."""
-    if logits.ndim != 1 or logits.size < 1:
-        raise ShapeError(f"softmax needs a non-empty 1-D vector, got shape {logits.shape}")
+    """Exp-normalize a logit vector [K], or each row of [N, K];
+    max-subtraction keeps exp in range."""
+    if logits.ndim not in (1, 2) or logits.shape[-1] < 1:
+        raise ShapeError(f"softmax needs non-empty [K] or [N, K] logits, got shape {logits.shape}")
     if not np.all(np.isfinite(logits)):
         raise NumericError("softmax input contains non-finite values")
-    shifted = logits - np.max(logits)
+    shifted = logits - np.max(logits, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e)
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def slice_axis(x: np.ndarray, axis: int, start: int, stop: int) -> np.ndarray:

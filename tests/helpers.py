@@ -55,21 +55,27 @@ def write_ppm(path: Path, arr: np.ndarray) -> None:
     path.write_bytes(b"P6\n%d %d\n255\n" % (w, h) + arr.astype(np.uint8).tobytes())
 
 
-def write_png(path: Path, arr: np.ndarray) -> None:
-    """Minimal PNG writer (8-bit, filter 0 rows) for decode tests."""
+def _png_chunk(ctype: bytes, payload: bytes) -> bytes:
+    return (struct.pack(">I", len(payload)) + ctype + payload
+            + struct.pack(">I", zlib.crc32(ctype + payload)))
+
+
+def write_png(path: Path, arr: np.ndarray, ihdr: bytes | None = None) -> None:
+    """Minimal PNG writer (8-bit, filter 0 rows) for decode tests; `ihdr`
+    replaces the IHDR payload (to write malformed headers)."""
     if arr.ndim == 2:
         arr = arr[:, :, None]
     h, w, c = arr.shape
     color = {1: 0, 2: 4, 3: 2, 4: 6}[c]
     raw = b"".join(b"\x00" + arr[y].tobytes() for y in range(h))
+    if ihdr is None:
+        ihdr = struct.pack(">IIBBBBB", w, h, 8, color, 0, 0, 0)
+    path.write_bytes(b"\x89PNG\r\n\x1a\n" + _png_chunk(b"IHDR", ihdr)
+                     + _png_chunk(b"IDAT", zlib.compress(raw)) + _png_chunk(b"IEND", b""))
 
-    def chunk(ctype: bytes, payload: bytes) -> bytes:
-        return (struct.pack(">I", len(payload)) + ctype + payload
-                + struct.pack(">I", zlib.crc32(ctype + payload)))
 
-    ihdr = struct.pack(">IIBBBBB", w, h, 8, color, 0, 0, 0)
-    path.write_bytes(b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
-                     + chunk(b"IDAT", zlib.compress(raw)) + chunk(b"IEND", b""))
+# An 8-byte IHDR payload: width and height only, the rest of the header cut.
+SHORT_IHDR = struct.pack(">II", 4, 4)
 
 
 def make_dataset_tree(root: Path, class_colors: dict, n_train: int = 3,

@@ -4,7 +4,9 @@ import subprocess
 import numpy as np
 import pytest
 
-from helpers import MALFORMED_MANIFESTS, make_dataset_tree, rewrite_manifest
+from helpers import (MALFORMED_MANIFESTS, SHORT_IHDR, make_dataset_tree,
+                     rewrite_manifest, write_png)
+from leafnet import cli
 from leafnet import data as D
 from leafnet import metrics as MET
 from leafnet import models as M
@@ -174,6 +176,14 @@ class TestPredict:
         junk.write_bytes(b"this is not an image")
         assert main(["predict", str(model), str(junk)]) == 2
 
+    def test_short_ihdr_png_exit_2(self, tree, tmp_path, capsys):
+        out = tmp_path / "run"
+        model = train_fixture_model(tree, out, epochs=1)
+        short = tmp_path / "short.png"
+        write_png(short, np.zeros((4, 4, 3), np.uint8), ihdr=SHORT_IHDR)
+        assert main(["predict", str(model), str(short)]) == 2
+        assert "short.png" in capsys.readouterr().err
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
     def test_malformed_manifest_exit_2(self, tree, tmp_path, capsys, case):
         model = M.build_cnn(M.CnnConfig(input_size=16, filters=(4, 8), dense_units=16,
@@ -185,6 +195,15 @@ class TestPredict:
         image = next((tree / "valid" / "healthy").iterdir())
         assert main(["predict", str(bad), str(image)]) == 2
         assert "bad.leaf" in capsys.readouterr().err
+
+
+def test_failed_text_write_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "report.txt"
+    target.mkdir()  # the temp file is written, then cannot replace a directory
+    (target / "keep").write_text("x")
+    with pytest.raises(OSError):
+        cli._write_text(target, "report")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.txt"]
 
 
 class TestUsage:

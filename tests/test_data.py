@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import (MALFORMED_MANIFESTS, make_dataset_tree, rewrite_manifest,
-                     write_png, write_ppm)
+from helpers import (MALFORMED_MANIFESTS, SHORT_IHDR, make_dataset_tree,
+                     rewrite_manifest, write_png, write_ppm)
 from leafnet import data as D
 from leafnet import models as M
 from leafnet.errors import (ConfigError, DatasetError, DecodeError,
@@ -104,6 +104,11 @@ class TestDecoding:
         with pytest.raises(DecodeError, match="empty.png"):
             D.load_image(tmp_path / "empty.png")
 
+    def test_short_ihdr_png_rejected(self, tmp_path):
+        write_png(tmp_path / "short.png", np.zeros((4, 4, 3), np.uint8), ihdr=SHORT_IHDR)
+        with pytest.raises(DecodeError, match="short.png.*IHDR"):
+            D.load_image(tmp_path / "short.png")
+
     def test_unknown_format_rejected(self, tmp_path):
         (tmp_path / "junk.ppm").write_bytes(b"not an image at all")
         with pytest.raises(DecodeError, match="junk.ppm"):
@@ -193,6 +198,15 @@ class TestBatches:
         e0 = [l for _, lbls in D.batches(index, "train", 12, 7, 0, loader) for l in lbls]
         e1 = [l for _, lbls in D.batches(index, "train", 12, 7, 1, loader) for l in lbls]
         assert e0 != e1
+
+    def test_seed_and_epoch_seed_as_a_pair(self):
+        """seed 42 / epoch 1 and seed 43 / epoch 0 shuffle differently
+        (42 ^ 1 == 43 ^ 0 once seeded both alike)."""
+        ds = D.MemoryDataset([np.zeros(1, np.float32)] * 50, list(range(50)), ["a"])
+        order = lambda seed, epoch: [y for _, ys in ds.batches(50, seed, epoch) for y in ys]
+        assert sorted(order(42, 1)) == list(range(50))
+        assert order(42, 1) != order(43, 0)
+        assert order(42, 1) == order(42, 1)
 
     def test_empty_split_rejected(self, tmp_path):
         index = self.make_index(tmp_path)

@@ -457,3 +457,116 @@ class TestParamCount:
         n_in, hidden = 7, 5
         params = L.init_lstm(n_in, hidden, np.random.default_rng(0))
         assert L.param_count(params) == 4 * (n_in * hidden + hidden * hidden + hidden)
+
+
+class TestBatchedEquivalence:
+    """A leading sample axis gives the stacked per-sample outputs and input
+    gradients and the summed per-sample parameter gradients (float64)."""
+
+    N = 5
+
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("per_chunk", [1, 2, 5], ids=lambda k: f"chunk{k}")
+    def test_conv(self, monkeypatch, padding, per_chunk):
+        rng = np.random.default_rng(30)
+        x = rng.standard_normal((self.N, 5, 7, 3))
+        params = {"kernels": rng.standard_normal((3, 3, 3, 4)), "bias": rng.standard_normal(4)}
+        oh, ow = L.conv_output_hw(5, 7, 3, 3, padding)
+        wp = 9 if padding == "same" else 7
+        # ROWS sized so a chunk holds per_chunk samples: 5 = 2 + 2 + 1 has a
+        # chunk boundary and a short last chunk
+        monkeypatch.setattr(L, "ROWS", per_chunk * oh * wp)
+        up = rng.standard_normal((self.N, oh, ow, 4))
+        out = L.conv2d_forward(x, params, padding)
+        g = L.conv2d_backward(x, params, up, padding)
+        singles = [L.conv2d_backward(x[k], params, up[k], padding) for k in range(self.N)]
+        np.testing.assert_allclose(
+            out, np.stack([L.conv2d_forward(xk, params, padding) for xk in x]), rtol=1e-12)
+        np.testing.assert_allclose(g["input"], np.stack([s["input"] for s in singles]),
+                                   rtol=1e-12, atol=1e-12)
+        for key in ("kernels", "bias"):
+            np.testing.assert_allclose(g[key], sum(s[key] for s in singles),
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_maxpool(self):
+        rng = np.random.default_rng(31)
+        x = rng.integers(0, 3, (self.N, 5, 7, 3)).astype(np.float64)  # tie-heavy
+        out, idx = L.maxpool2d_forward(x)
+        up = rng.standard_normal(out.shape)
+        d_x = L.maxpool2d_backward(idx, up, x.shape)
+        for k in range(self.N):
+            out_k, idx_k = L.maxpool2d_forward(x[k])
+            np.testing.assert_array_equal(out[k], out_k)
+            np.testing.assert_array_equal(idx[k], idx_k)
+            np.testing.assert_array_equal(d_x[k], L.maxpool2d_backward(idx_k, up[k], x[k].shape))
+
+    def test_dense(self):
+        rng = np.random.default_rng(32)
+        x = rng.standard_normal((self.N, 6))
+        params = {"weights": rng.standard_normal((6, 4)), "bias": rng.standard_normal(4)}
+        up = rng.standard_normal((self.N, 4))
+        out = L.dense_forward(x, params)
+        g = L.dense_backward(x, params, up)
+        singles = [L.dense_backward(x[k], params, up[k]) for k in range(self.N)]
+        np.testing.assert_allclose(out, np.stack([L.dense_forward(xk, params) for xk in x]),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(g["input"], np.stack([s["input"] for s in singles]),
+                                   rtol=1e-12)
+        for key in ("weights", "bias"):
+            np.testing.assert_allclose(g[key], sum(s[key] for s in singles), rtol=1e-12)
+
+    def test_dropout_draws_like_consecutive_samples(self):
+        x = np.random.default_rng(33).standard_normal((self.N, 5, 7, 3))
+        up = np.random.default_rng(34).standard_normal(x.shape)
+        out, mask = L.dropout_forward(x, 0.4, "train", np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        for k in range(self.N):
+            out_k, mask_k = L.dropout_forward(x[k], 0.4, "train", rng)
+            np.testing.assert_array_equal(out[k], out_k)
+            np.testing.assert_array_equal(L.dropout_backward(mask, up)[k],
+                                          L.dropout_backward(mask_k, up[k]))
+
+    def test_flatten_and_softmax(self):
+        rng = np.random.default_rng(35)
+        x = rng.standard_normal((self.N, 5, 7, 3))
+        np.testing.assert_array_equal(L.flatten(x), np.stack([L.flatten(xk) for xk in x]))
+        logits = rng.standard_normal((self.N, 6))
+        np.testing.assert_allclose(T.softmax(logits), np.stack([T.softmax(z) for z in logits]),
+                                   rtol=1e-15)
+
+    def test_lstm(self):
+        rng = np.random.default_rng(36)
+        params = {"w_input": rng.standard_normal((4, 12)) * 0.5,
+                  "w_recurrent": rng.standard_normal((3, 12)) * 0.5,
+                  "bias": rng.standard_normal(12) * 0.1}
+        seq = rng.standard_normal((3, 5, 4))
+        up = rng.standard_normal((3, 3))
+        h, caches = L.lstm_forward(seq, params, return_caches=True)
+        g = L.lstm_backward(caches, params, up)
+        singles = []
+        for k in range(3):
+            h_k, caches_k = L.lstm_forward(seq[k], params, return_caches=True)
+            np.testing.assert_allclose(h[k], h_k, rtol=1e-12)
+            singles.append(L.lstm_backward(caches_k, params, up[k]))
+        np.testing.assert_allclose(g["input"], np.stack([s["input"] for s in singles]),
+                                   rtol=1e-12, atol=1e-15)
+        for key in params:
+            np.testing.assert_allclose(g[key], sum(s[key] for s in singles), rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["conv", "lstm"])
+    def test_need_input_false_leaves_parameter_gradients(self, kind):
+        """The kinds that can be a model's first layer skip its input gradient."""
+        rng = np.random.default_rng(37)
+        if kind == "conv":
+            params = {"kernels": rng.standard_normal((3, 3, 2, 3)), "bias": np.zeros(3)}
+            x, up = rng.standard_normal((2, 5, 7, 2)), rng.standard_normal((2, 5, 7, 3))
+            run = lambda need: L.conv2d_backward(x, params, up, "same", need_input=need)
+        else:
+            params = L.init_lstm(4, 3, rng, np.float64)
+            _, caches = L.lstm_forward(rng.standard_normal((2, 5, 4)), params, return_caches=True)
+            up = rng.standard_normal((2, 3))
+            run = lambda need: L.lstm_backward(caches, params, up, need_input=need)
+        full, skipped = run(True), run(False)
+        assert "input" in full and "input" not in skipped
+        for key in params:
+            np.testing.assert_array_equal(skipped[key], full[key])

@@ -181,6 +181,13 @@ class TestPredict:
         with pytest.raises(ModelStateError):
             M.predict(model, np.zeros(model.spec.input_shape, np.float32))
 
+    def test_stacked_batch_rejected(self):
+        """forward takes [N, ...] stacks; predict names one class for one input."""
+        model = toy_cnn()
+        model.label_map = ["a", "b", "c"]
+        with pytest.raises(ShapeError):
+            M.predict(model, np.zeros((2,) + model.spec.input_shape, np.float32))
+
     def test_wrong_length_label_map_rejected(self):
         model = toy_cnn()
         model.label_map = ["only", "two"]

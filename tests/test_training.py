@@ -5,6 +5,7 @@ import pytest
 
 from helpers import assert_grads_close, fd_grads, flat_params, model_to_f64
 from leafnet import data as D
+from leafnet import layers as L
 from leafnet import models as M
 from leafnet import tensor as T
 from leafnet import training as TR
@@ -104,6 +105,42 @@ class TestAdam:
             TR.adam_step(params, [{"w": np.zeros(4)}], state)
 
 
+def textbook_adam_step(params, grads, state):
+    """The allocating Adam update adam_step must reproduce bit for bit."""
+    state.t += 1
+    bc1 = 1.0 - state.beta1 ** state.t
+    bc2 = 1.0 - state.beta2 ** state.t
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        for key in p:
+            gk = g[key]
+            m[key] = state.beta1 * m[key] + (1.0 - state.beta1) * gk
+            v[key] = state.beta2 * v[key] + (1.0 - state.beta2) * gk * gk
+            m_hat = m[key] / bc1
+            v_hat = v[key] / bc2
+            p[key] -= (state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)).astype(p[key].dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_in_place_adam_bit_identical_to_textbook(dtype):
+    rng = np.random.default_rng(40)
+    shapes = {"w": (3, 4, 5), "b": (5,)}
+    params = [{k: rng.standard_normal(s).astype(dtype) for k, s in shapes.items()}, {}]
+    ref = [{k: p.copy() for k, p in ps.items()} for ps in params]
+    state = TR.AdamState.for_params(params, lr=1e-3)
+    ref_state = TR.AdamState.for_params(ref, lr=1e-3)
+    for _ in range(50):
+        grads = [{k: (rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3)).astype(dtype)
+                  for k, s in shapes.items()}, {}]
+        TR.adam_step(params, grads, state)
+        textbook_adam_step(ref, grads, ref_state)
+        for got, want in ((params, ref), (state.m, ref_state.m), (state.v, ref_state.v)):
+            for g_layer, w_layer in zip(got, want):
+                for key in w_layer:
+                    assert g_layer[key].dtype == dtype
+                    assert g_layer[key].tobytes() == w_layer[key].tobytes(), key
+    assert state.t == ref_state.t == 50
+
+
 class TestEndToEndGradients:
     @pytest.mark.parametrize("seed", range(3))
     def test_toy_cnn_loss_gradients(self, seed):
@@ -142,6 +179,85 @@ class TestEndToEndGradients:
         grads = M.backward(model, caches, d_logits)
         analytic = {(li, k): v for li, g in enumerate(grads) for k, v in g.items()}
         assert_grads_close(analytic, fd_grads(loss, flat_params(model)))
+
+
+class TestMicroBatch:
+    """loss_and_grads on a stacked micro-batch equals the per-sample sum."""
+
+    def check(self, model, xs, ys):
+        model_to_f64(model)
+        loss, correct, grads = TR.loss_and_grads(model, np.stack(xs), ys, mode="infer")
+        singles = [TR.loss_and_grads(model, x, y, mode="infer") for x, y in zip(xs, ys)]
+        assert loss == pytest.approx(sum(s[0] for s in singles), rel=1e-12)
+        assert correct == sum(s[1] for s in singles)
+        for li, layer in enumerate(grads):
+            assert list(layer) == list(model.params[li])
+            for key, g in layer.items():
+                np.testing.assert_allclose(g, sum(s[2][li][key] for s in singles),
+                                           rtol=1e-10, atol=1e-13)
+
+    def test_reduced_cnn(self):
+        rng = np.random.default_rng(41)
+        model = toy_cnn()
+        self.check(model, list(rng.standard_normal((4,) + model.spec.input_shape)),
+                   [0, 2, 1, 2])
+
+    def test_reduced_lstm(self):
+        cfg = M.LstmConfig(timesteps=3, features=4, hidden=3, dense_units=4, classes=3)
+        model = M.build_lstm(cfg, seed=2)
+        rng = np.random.default_rng(42)
+        self.check(model, list(rng.standard_normal((4, 3, 4))), [1, 0, 2, 2])
+
+    def test_grads_add_into_accumulator(self):
+        model = toy_cnn()
+        model_to_f64(model)
+        rng = np.random.default_rng(43)
+        xs = rng.standard_normal((3,) + model.spec.input_shape)
+        total = [dict() for _ in model.params]
+        TR.loss_and_grads(model, xs[:2], [0, 1], "infer", None, total)
+        TR.loss_and_grads(model, xs[2:], [2], "infer", None, total)
+        _, _, whole = TR.loss_and_grads(model, xs, [0, 1, 2], mode="infer")
+        for acc, ref in zip(total, whole):
+            assert list(acc) == list(ref)
+            for key in ref:
+                np.testing.assert_allclose(acc[key], ref[key], rtol=1e-12, atol=1e-15)
+
+
+def test_first_layer_input_gradient_not_computed(monkeypatch):
+    """models.backward asks layer 0 for no input gradient: its conv backward
+    makes the 9 kernel GEMMs only and returns no input, while the model's
+    parameter gradients equal those of a full-gradient backward."""
+    model = toy_cnn()
+    model_to_f64(model)
+    x = np.random.default_rng(44).standard_normal((2,) + model.spec.input_shape)
+    probs, caches = M.forward_train(model, x)
+    _, d_logits = TR.categorical_cross_entropy(probs, [1, 2])
+    conv_backward, matmul = L.conv2d_backward, T.matmul
+    calls = []
+
+    def counting_matmul(a, b):
+        if calls and "returned" not in calls[-1]:  # inside a conv backward
+            calls[-1]["gemms"] += 1
+        return matmul(a, b)
+
+    def spy(x_in, params, upstream, padding, need_input=True):
+        calls.append({"params": params, "upstream": upstream, "gemms": 0})
+        grads = conv_backward(x_in, params, upstream, padding, need_input=need_input)
+        calls[-1]["returned"] = set(grads)
+        return grads
+
+    monkeypatch.setattr(L, "conv2d_backward", spy)
+    monkeypatch.setattr(T, "matmul", counting_matmul)
+    grads = M.backward(model, caches, d_logits)
+    monkeypatch.undo()
+    first = next(c for c in calls if c["params"] is model.params[0])
+    assert first["returned"] == {"kernels", "bias"}
+    assert first["gemms"] == 9
+    assert all(c["gemms"] == 18 for c in calls if c is not first)
+    full = L.conv2d_backward(caches[0][0], model.params[0], first["upstream"], "same")
+    assert "input" in full
+    for key in ("kernels", "bias"):
+        np.testing.assert_array_equal(grads[0][key], full[key])
 
 
 class TestTrainLoop:
