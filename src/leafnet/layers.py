@@ -411,7 +411,7 @@ def lstm_forward(sequence: np.ndarray, params: dict[str, np.ndarray],
     steps = []
     for t in range(t_steps):
         h = h_prev[..., t, :]
-        z = (xw[..., t, :] + T.matmul(_rows(h), u).reshape(lead + (four_h,))) + b
+        z = xw[..., t, :] + T.matmul(_rows(h), u).reshape(lead + (four_h,)) + b
         h, c, cache = _gates(z, c)
         if t + 1 < t_steps:
             h_prev[..., t + 1, :] = h
