@@ -80,30 +80,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _given(value, default):
+    """A flag's value when it was passed (0 included), else the stock value."""
+    return default if value is None else value
+
+
 def _cnn_config(args, classes: int) -> M.CnnConfig:
     base = M.CnnConfig()
     return M.CnnConfig(
-        input_size=args.input or base.input_size,
-        filters=args.filters or base.filters,
-        dense_units=args.dense or base.dense_units,
+        input_size=_given(args.input, base.input_size),
+        filters=_given(args.filters, base.filters),
+        dense_units=_given(args.dense, base.dense_units),
         classes=classes,
     )
 
 
 def _lstm_config(args, classes: int) -> M.LstmConfig:
     base = M.LstmConfig()
-    timesteps = args.timesteps or base.timesteps
-    side = args.input or D.lstm_image_size(base.timesteps, base.features)
-    features, rem = divmod(side * side * 3, timesteps)
-    if rem:
+    timesteps = _given(args.timesteps, base.timesteps)
+    side = _given(args.input, D.lstm_image_size(base.timesteps, base.features))
+    values = side * side * 3
+    if side < 1 or timesteps < 1 or values % timesteps:
         raise LeafnetError(
-            f"--input {side} with --timesteps {timesteps}: {side * side * 3} values "
-            f"do not split into {timesteps} steps")
+            f"--input {side} with --timesteps {timesteps}: both must be >= 1 and "
+            f"the {values} values must split into {timesteps} steps")
     return M.LstmConfig(
         timesteps=timesteps,
-        features=features,
-        hidden=args.hidden or base.hidden,
-        dense_units=args.dense or base.dense_units,
+        features=values // timesteps,
+        hidden=_given(args.hidden, base.hidden),
+        dense_units=_given(args.dense, base.dense_units),
         classes=classes,
     )
 
@@ -149,6 +154,8 @@ def cmd_summary(args) -> int:
 def cmd_train(args) -> int:
     _echo("train", arch=args.arch, data=args.data_root, epochs=args.epochs,
           batch=args.batch, lr=args.lr, seed=args.seed, out=args.out)
+    config = TR.TrainConfig(epochs=args.epochs, batch_size=args.batch,
+                            lr=args.lr, seed=args.seed)
     index = D.scan_dataset(args.data_root)
     counts = index.counts()
     print(f"dataset: {counts['train']} train / {counts['valid']} valid / "
@@ -158,8 +165,6 @@ def cmd_train(args) -> int:
     loader = _loader_for(model)
     train_set = D.DiskDataset(index, "train", loader)
     valid_set = D.DiskDataset(index, "valid", loader)
-    config = TR.TrainConfig(epochs=args.epochs, batch_size=args.batch,
-                            lr=args.lr, seed=args.seed)
     model, history = TR.train(model, train_set, valid_set, config)
     args.out.mkdir(parents=True, exist_ok=True)
     D.save_model(model, args.out / "model.leaf")
@@ -186,10 +191,9 @@ def cmd_eval(args) -> int:
     if len(dataset) == 0:
         raise LeafnetError(f"split {args.split!r} has no records")
     preds, labels = [], []
-    for x, y in dataset.samples():
-        probs = M.forward(model, x, mode="infer")
-        preds.append(int(probs.argmax()))
-        labels.append(y)
+    for probs, y in TR.predictions(model, dataset):
+        preds += probs.argmax(axis=-1).tolist()
+        labels += y
     cm = MET.confusion_matrix(preds, labels, model.label_map)
     report = MET.class_report(cm)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -202,13 +206,7 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     _echo("predict", model=args.model_file, image=args.image)
     model = D.load_model(args.model_file)
-    cfg = model.spec.config
-    if model.spec.arch == "cnn":
-        x = D.load_image(args.image, "cnn", cnn_size=cfg.input_size)
-    else:
-        x = D.load_image(args.image, "lstm", timesteps=cfg.timesteps,
-                         features=cfg.features)
-    name, confidence = M.predict(model, x)
+    name, confidence = M.predict(model, _loader_for(model)(args.image))
     print(f"{name}\t{confidence:.4f}")
     return 0
 

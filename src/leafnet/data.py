@@ -33,6 +33,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from . import layers as L
 from . import models as M
 from .errors import ConfigError, DatasetError, DecodeError, ModelFormatError
 
@@ -296,30 +297,36 @@ def load_image(path: str | Path, target: str = "cnn", *, cnn_size: int = 128,
 # ---------------------------------------------------------------------------
 # batching and datasets
 
-def _epoch_order(n: int, seed: int, epoch: int) -> np.ndarray:
-    """The shuffle of one epoch; (seed, epoch) seeds the generator as a pair,
-    so no other pair repeats it."""
-    return np.random.default_rng([seed, epoch]).permutation(n)
+class _Dataset:
+    """The shared dataset interface over `labels` and `_load(i)`, the input
+    of sample i; see leafnet.training."""
+    labels: list[int]
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def batches(self, batch_size: int, seed: int, epoch: int
+                ) -> Iterator[tuple[list[np.ndarray], list[int]]]:
+        """Shuffled (inputs, labels) batches; the final short batch is
+        included. (seed, epoch) seeds the shuffle as a pair, so no other
+        pair repeats it."""
+        if not self.labels:
+            raise ConfigError("cannot batch an empty dataset")
+        if batch_size < 1:
+            raise ConfigError(f"batch size must be >= 1, got {batch_size}")
+        order = np.random.default_rng([seed, epoch]).permutation(len(self.labels))
+        for start in range(0, len(order), batch_size):
+            idx = order[start:start + batch_size]
+            yield [self._load(i) for i in idx], [self.labels[i] for i in idx]
+
+    def samples(self) -> Iterator[tuple[np.ndarray, int]]:
+        """(input, label) pairs in the dataset's fixed order."""
+        for i, label in enumerate(self.labels):
+            yield self._load(i), label
 
 
-def batches(index: DatasetIndex, split: str, batch_size: int, seed: int, epoch: int,
-            loader: Callable[[Path], np.ndarray] | None = None
-            ) -> Iterator[tuple[list[np.ndarray], list[int]]]:
-    """Seeded epoch-dependent shuffle; the final short batch is included."""
-    records = index.for_split(split)
-    if not records:
-        raise ConfigError(f"split {split!r} has no records")
-    if batch_size < 1:
-        raise ConfigError(f"batch size must be >= 1, got {batch_size}")
-    loader = loader or load_image
-    order = _epoch_order(len(records), seed, epoch)
-    for start in range(0, len(records), batch_size):
-        chunk = [records[i] for i in order[start:start + batch_size]]
-        yield [loader(r.path) for r in chunk], [r.label for r in chunk]
-
-
-class MemoryDataset:
-    """In-memory (input, label) pairs with the shared dataset interface."""
+class MemoryDataset(_Dataset):
+    """In-memory (input, label) pairs."""
 
     def __init__(self, inputs: Sequence[np.ndarray], labels: Sequence[int],
                  class_names: list[str]):
@@ -329,38 +336,21 @@ class MemoryDataset:
         self.labels = [int(y) for y in labels]
         self.class_names = class_names
 
-    def __len__(self) -> int:
-        return len(self.inputs)
-
-    def batches(self, batch_size: int, seed: int, epoch: int):
-        order = _epoch_order(len(self.inputs), seed, epoch)
-        for start in range(0, len(order), batch_size):
-            idx = order[start:start + batch_size]
-            yield [self.inputs[i] for i in idx], [self.labels[i] for i in idx]
-
-    def samples(self):
-        yield from zip(self.inputs, self.labels)
+    def _load(self, i: int) -> np.ndarray:
+        return self.inputs[i]
 
 
-class DiskDataset:
+class DiskDataset(_Dataset):
     """Lazy folder-per-class dataset over one split of a DatasetIndex."""
 
     def __init__(self, index: DatasetIndex, split: str,
                  loader: Callable[[Path], np.ndarray] | None = None):
-        self.index = index
-        self.split = split
         self.loader = loader or load_image
         self._records = index.for_split(split)
+        self.labels = [r.label for r in self._records]
 
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def batches(self, batch_size: int, seed: int, epoch: int):
-        yield from batches(self.index, self.split, batch_size, seed, epoch, self.loader)
-
-    def samples(self):
-        for r in self._records:
-            yield self.loader(r.path), r.label
+    def _load(self, i: int) -> np.ndarray:
+        return self.loader(self._records[i].path)
 
 
 def _base_colors(k: int) -> np.ndarray:
@@ -393,11 +383,6 @@ def synth_dataset(classes: int, per_class: int, seed: int, *,
     return MemoryDataset(inputs, labels, names)
 
 
-def synth_base_colors(classes: int) -> np.ndarray:
-    """The anchors synth_dataset draws around (for nearest-color oracles)."""
-    return _base_colors(classes)
-
-
 # ---------------------------------------------------------------------------
 # model files
 
@@ -408,7 +393,7 @@ def _manifest(model: M.SequentialModel) -> dict:
         "arch": model.spec.arch,
         "config": dataclasses.asdict(model.spec.config),
         "label_map": list(model.label_map),
-        "gate_order": "ifgo",
+        "gate_order": L.GATE_ORDER,
         "layers": [
             {"name": spec.name,
              "params": [{"name": key, "shape": list(p.shape)}
@@ -506,6 +491,9 @@ def load_model(path: str | Path) -> M.SequentialModel:
     if label_map and len(label_map) != spec.classes:
         raise ModelFormatError(f"{where}: label_map has {len(label_map)} names "
                                f"for {spec.classes} classes")
+    gate_order = _field(manifest, "gate_order", str, where)
+    if gate_order != L.GATE_ORDER:
+        raise ModelFormatError(f"{where}: gate_order {gate_order!r} is not {L.GATE_ORDER!r}")
     declared = _field(manifest, "layers", list, where)
     if len(declared) != len(spec.layers):
         raise ModelFormatError(f"{path}: manifest declares {len(declared)} layers, "

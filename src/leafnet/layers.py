@@ -9,8 +9,8 @@ Conventions:
     samples
   - conv kernels are [Kh, Kw, Cin, Cout], dense weights [In, Out]
   - LSTM packs the four gates along the last axis of W[In, 4H], U[H, 4H]
-    and bias[4H] in the fixed order [input, forget, candidate, output];
-    model files depend on that order
+    and bias[4H] in the fixed order [input, forget, candidate, output]
+    (GATE_ORDER); model files record it and loading checks it
   - parameters are read-only during forward/backward; only the optimizer
     mutates them
 
@@ -23,6 +23,12 @@ whole chunk, and the kernel gradient sums over it inside that GEMM. Outputs
 are computed on "wide" rows of Wp columns and the kw-1 columns past the
 output width are dropped. A chunk holds max(1, ROWS // (oh*Wp)) samples, so
 large layers run one sample per GEMM and small ones batch.
+
+The LSTM has two entry points. lstm_forward/lstm_backward run the whole
+sequence and are what the models use. lstm_cell_step/lstm_cell_backward are
+the single-step API: one recurrence step and its gradients, from any (h, c)
+state, for checking the cell on its own; they share the gate arithmetic
+(_gates, _gate_grads) with the sequence functions.
 """
 
 from __future__ import annotations

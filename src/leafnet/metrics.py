@@ -161,19 +161,3 @@ def cm_to_csv(cm: ConfusionMatrix) -> str:
     for k, name in enumerate(cm.class_names):
         writer.writerow([name] + [int(v) for v in cm.counts[k]])
     return buf.getvalue()
-
-
-def cm_from_csv(text: str) -> ConfusionMatrix:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows:
-        raise ConfigError("empty confusion-matrix CSV")
-    names = rows[0]
-    k = len(names)
-    counts = np.zeros((k, k), dtype=np.int64)
-    if len(rows) != k + 1:
-        raise ConfigError(f"expected {k + 1} CSV lines for {k} classes, got {len(rows)}")
-    for i, row in enumerate(rows[1:]):
-        if row[0] != names[i] or len(row) != k + 1:
-            raise ConfigError(f"malformed confusion-matrix row {i + 1}")
-        counts[i] = [int(v) for v in row[1:]]
-    return ConfusionMatrix(counts, names)

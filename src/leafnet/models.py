@@ -11,7 +11,7 @@ sequences into a 128-unit ReLU dense layer and the same softmax head
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -83,10 +83,6 @@ class SummaryRow:
     params: int
 
 
-_KIND_LABEL = {"conv": "Conv2D", "maxpool": "MaxPooling2D", "dropout": "Dropout",
-               "flatten": "Flatten", "dense": "Dense", "lstm": "LSTM"}
-
-
 class _Namer:
     """Keras-style layer names: first use is bare, repeats get _1, _2, ..."""
 
@@ -155,34 +151,76 @@ def lstm_spec(cfg: LstmConfig) -> ModelSpec:
     return ModelSpec("lstm", cfg, specs, in_shape, cfg.classes)
 
 
-def param_shapes(layer: LayerSpec) -> dict[str, tuple[int, ...]]:
-    """Parameter names and shapes of one layer, in model-file order."""
-    if layer.kind == "conv":
-        cin, cout = layer.input_shape[2], layer.output_shape[2]
-        return {"kernels": (3, 3, cin, cout), "bias": (cout,)}
-    if layer.kind == "dense":
-        n_in, n_out = layer.input_shape[0], layer.output_shape[0]
-        return {"weights": (n_in, n_out), "bias": (n_out,)}
-    if layer.kind == "lstm":
-        n_in, hidden = layer.input_shape[1], layer.output_shape[0]
-        return {"w_input": (n_in, 4 * hidden), "w_recurrent": (hidden, 4 * hidden),
-                "bias": (4 * hidden,)}
+class _Kind(NamedTuple):
+    """What the model needs of one layer kind. forward(spec, params, x, mode,
+    rng) returns the pre-activation output and the cache backward reads;
+    backward(spec, params, cache, d_out, need_input) returns the parameter
+    gradients plus, when need_input, the input gradient under "input".
+    Layer functions are looked up when called (`L.conv2d_forward(...)`), so
+    module-level replacements such as timing wrappers see every call."""
+    label: str
+    shapes: Callable[[LayerSpec], dict[str, tuple[int, ...]]]
+    init: Callable              # (parameter shapes, rng) -> parameters
+    forward: Callable
+    backward: Callable
+
+
+def _no_params(*_) -> dict:
+    """Shapes and initializer of a kind without parameters."""
     return {}
 
 
-# kind -> initializer called with the layer's parameter shapes
-_INIT = {
-    "conv": lambda s, rng: L.init_conv(*s["kernels"], rng),
-    "dense": lambda s, rng: L.init_dense(*s["weights"], rng),
-    "lstm": lambda s, rng: L.init_lstm(s["w_input"][0], s["w_recurrent"][0], rng),
+def _lstm_shapes(layer: LayerSpec) -> dict[str, tuple[int, ...]]:
+    n_in, hidden = layer.input_shape[1], layer.output_shape[0]
+    return {"w_input": (n_in, 4 * hidden), "w_recurrent": (hidden, 4 * hidden),
+            "bias": (4 * hidden,)}
+
+
+_KINDS = {
+    "conv": _Kind(
+        "Conv2D",
+        lambda s: {"kernels": (3, 3, s.input_shape[2], s.output_shape[2]),
+                   "bias": (s.output_shape[2],)},
+        lambda shapes, rng: L.init_conv(*shapes["kernels"], rng),
+        lambda s, p, x, mode, rng: (L.conv2d_forward(x, p, s.padding), x),
+        lambda s, p, x, d, need: L.conv2d_backward(x, p, d, s.padding, need_input=need)),
+    "maxpool": _Kind(
+        "MaxPooling2D", _no_params, _no_params,
+        lambda s, p, x, mode, rng: L.maxpool2d_forward(x),
+        lambda s, p, idx, d, need: {
+            "input": L.maxpool2d_backward(idx, d, d.shape[:-3] + s.input_shape)}),
+    "dropout": _Kind(
+        "Dropout", _no_params, _no_params,
+        lambda s, p, x, mode, rng: L.dropout_forward(x, s.rate, mode, rng),
+        lambda s, p, mask, d, need: {"input": L.dropout_backward(mask, d)}),
+    "flatten": _Kind(
+        "Flatten", _no_params, _no_params,
+        lambda s, p, x, mode, rng: (L.flatten(x), x.shape),
+        lambda s, p, shape, d, need: {"input": T.reshape(d, shape)}),
+    "dense": _Kind(
+        "Dense",
+        lambda s: {"weights": (s.input_shape[0], s.output_shape[0]),
+                   "bias": (s.output_shape[0],)},
+        lambda shapes, rng: L.init_dense(*shapes["weights"], rng),
+        lambda s, p, x, mode, rng: (L.dense_forward(x, p), x),
+        lambda s, p, x, d, need: L.dense_backward(x, p, d)),
+    "lstm": _Kind(
+        "LSTM", _lstm_shapes,
+        lambda shapes, rng: L.init_lstm(shapes["w_input"][0], shapes["w_recurrent"][0], rng),
+        lambda s, p, x, mode, rng: L.lstm_forward(x, p, return_caches=True),
+        lambda s, p, cache, d, need: L.lstm_backward(cache, p, d, need_input=need)),
 }
+
+
+def param_shapes(layer: LayerSpec) -> dict[str, tuple[int, ...]]:
+    """Parameter names and shapes of one layer, in model-file order."""
+    return _KINDS[layer.kind].shapes(layer)
 
 
 def _initialized(spec: ModelSpec, seed: int) -> SequentialModel:
     """Draw every layer's parameters in layer order from one seeded stream."""
     rng = np.random.default_rng(seed)
-    params = [_INIT[layer.kind](param_shapes(layer), rng) if layer.kind in _INIT else {}
-              for layer in spec.layers]
+    params = [_KINDS[layer.kind].init(param_shapes(layer), rng) for layer in spec.layers]
     return SequentialModel(spec, params)
 
 
@@ -200,7 +238,7 @@ def build_lstm(config: LstmConfig | None = None, *, seed: int = 0) -> Sequential
 # summary
 
 def summary_rows(model: SequentialModel) -> list[SummaryRow]:
-    return [SummaryRow(s.name, _KIND_LABEL[s.kind], s.output_shape, L.param_count(p))
+    return [SummaryRow(s.name, _KINDS[s.kind].label, s.output_shape, L.param_count(p))
             for s, p in zip(model.spec.layers, model.params)]
 
 
@@ -238,41 +276,24 @@ def _check_input(model: SequentialModel, x: np.ndarray) -> None:
 
 
 def _forward(model: SequentialModel, x: np.ndarray, mode: str,
-             rng: np.random.Generator | None) -> tuple[np.ndarray, list]:
-    """Layer-by-layer forward over one sample or a stacked batch. Each cache
-    holds what backward needs; conv and dense keep their input and their
-    activated output (ReLU's gradient gate reads out > 0, which is pre > 0)."""
+             rng: np.random.Generator | None, keep_caches: bool = False
+             ) -> tuple[np.ndarray, list | None]:
+    """Layer-by-layer forward over one sample or a stacked batch, each
+    layer's activation applied after it. With `keep_caches`, also returns
+    one (cache, activated output) pair per layer for backward(); ReLU's
+    gradient gate reads out > 0, which is pre > 0. Without, each layer's
+    input is freed as soon as the next layer has it."""
     _check_input(model, x)
-    caches: list = []
+    caches = [] if keep_caches else None
     out = x
     for spec, params in zip(model.spec.layers, model.params):
-        x_in = out
-        if spec.kind == "conv":
-            out = L.conv2d_forward(x_in, params, spec.padding)
-            if spec.activation == "relu":
-                out = T.relu(out)
-            caches.append((x_in, out))
-        elif spec.kind == "maxpool":
-            out, idx = L.maxpool2d_forward(x_in)
-            caches.append((x_in.shape, idx))
-        elif spec.kind == "dropout":
-            out, mask = L.dropout_forward(x_in, spec.rate, mode, rng)
-            caches.append(mask)
-        elif spec.kind == "flatten":
-            out = L.flatten(x_in)
-            caches.append(x_in.shape)
-        elif spec.kind == "dense":
-            out = L.dense_forward(x_in, params)
-            if spec.activation == "relu":
-                out = T.relu(out)
-            elif spec.activation == "softmax":
-                out = T.softmax(out)
-            caches.append((x_in, out))
-        elif spec.kind == "lstm":
-            out, cache = L.lstm_forward(x_in, params, return_caches=True)
-            caches.append(cache)
-        else:
-            raise ConfigError(f"unknown layer kind {spec.kind!r}")
+        out, cache = _KINDS[spec.kind].forward(spec, params, out, mode, rng)
+        if spec.activation == "relu":
+            out = T.relu(out)
+        elif spec.activation == "softmax":
+            out = T.softmax(out)
+        if keep_caches:
+            caches.append((cache, out))
     return out, caches
 
 
@@ -287,15 +308,7 @@ def forward(model: SequentialModel, x: np.ndarray, mode: str = "infer",
 def forward_train(model: SequentialModel, x: np.ndarray,
                   rng: np.random.Generator | None = None) -> tuple[np.ndarray, list]:
     """Train-mode forward returning per-layer caches for backward()."""
-    return _forward(model, x, "train", rng)
-
-
-def _add_into(acc: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-    for key, g in grads.items():
-        if key in acc:
-            acc[key] += g
-        else:
-            acc[key] = g
+    return _forward(model, x, "train", rng, keep_caches=True)
 
 
 def backward(model: SequentialModel, caches: list, d_logits: np.ndarray,
@@ -314,29 +327,16 @@ def backward(model: SequentialModel, caches: list, d_logits: np.ndarray,
     grads = [dict() for _ in model.params] if grads is None else grads
     d_out = d_logits
     for li in range(len(model.spec.layers) - 1, -1, -1):
-        spec, params, cache = model.spec.layers[li], model.params[li], caches[li]
-        if spec.kind == "maxpool":
-            in_shape, idx = cache
-            d_out = L.maxpool2d_backward(idx, d_out, in_shape)
-        elif spec.kind == "dropout":
-            d_out = L.dropout_backward(cache, d_out)
-        elif spec.kind == "flatten":
-            d_out = T.reshape(d_out, cache)
-        else:
-            need_input = li > 0
-            if spec.kind == "lstm":
-                g = L.lstm_backward(cache, params, d_out, need_input=need_input)
+        spec, params, (cache, out) = model.spec.layers[li], model.params[li], caches[li]
+        if spec.activation == "relu":
+            d_out = T.relu_backward(out, d_out)
+        g = _KINDS[spec.kind].backward(spec, params, cache, d_out, li > 0)
+        d_out = g.pop("input", None)
+        for key, gk in g.items():
+            if key in grads[li]:
+                grads[li][key] += gk
             else:
-                x_in, out = cache
-                if spec.activation == "relu":
-                    d_out = T.relu_backward(out, d_out)
-                if spec.kind == "conv":
-                    g = L.conv2d_backward(x_in, params, d_out, spec.padding,
-                                          need_input=need_input)
-                else:
-                    g = L.dense_backward(x_in, params, d_out)
-            d_out = g.pop("input", None)
-            _add_into(grads[li], g)
+                grads[li][key] = gk
     return grads
 
 

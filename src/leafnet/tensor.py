@@ -15,27 +15,12 @@ from .errors import NumericError, ShapeError
 DTYPE = np.float32
 
 
-def tensor(data, dtype=DTYPE) -> np.ndarray:
-    """Build a C-contiguous array of the working dtype."""
-    return np.ascontiguousarray(data, dtype=dtype)
-
-
-def zeros(shape, dtype=DTYPE) -> np.ndarray:
-    validate_shape(shape)
-    return np.zeros(shape, dtype=dtype)
-
-
 def validate_shape(shape) -> tuple[int, ...]:
     """Check rank >= 1 and every dim >= 1; returns the shape as a tuple."""
     dims = tuple(int(d) for d in shape)
     if len(dims) < 1 or any(d < 1 for d in dims):
         raise ShapeError(f"invalid shape {dims}: rank >= 1 and all dims >= 1 required")
     return dims
-
-
-def assert_finite(x: np.ndarray, what: str = "tensor") -> None:
-    if not np.all(np.isfinite(x)):
-        raise NumericError(f"{what} contains non-finite values")
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -71,35 +56,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def slice_axis(x: np.ndarray, axis: int, start: int, stop: int) -> np.ndarray:
-    if not -x.ndim <= axis < x.ndim:
-        raise ShapeError(f"axis {axis} invalid for shape {x.shape}")
-    axis %= x.ndim
-    n = x.shape[axis]
-    if not (0 <= start < stop <= n):
-        raise ShapeError(f"slice [{start}:{stop}] out of range for axis {axis} of shape {x.shape}")
-    idx = [slice(None)] * x.ndim
-    idx[axis] = slice(start, stop)
-    return x[tuple(idx)]
-
-
 def reshape(x: np.ndarray, shape) -> np.ndarray:
     dims = validate_shape(shape)
     if int(np.prod(dims)) != x.size:
         raise ShapeError(f"cannot reshape {x.shape} ({x.size} elements) to {dims}")
     return np.ascontiguousarray(x).reshape(dims)
-
-
-def transpose(x: np.ndarray, axes=None) -> np.ndarray:
-    if axes is not None and sorted(axes) != list(range(x.ndim)):
-        raise ShapeError(f"axes {tuple(axes)} is not a permutation for shape {x.shape}")
-    return np.transpose(x, axes)
-
-
-def reduce_sum(x: np.ndarray, axis=None) -> np.ndarray:
-    if axis is not None and not -x.ndim <= axis < x.ndim:
-        raise ShapeError(f"axis {axis} invalid for shape {x.shape}")
-    return np.sum(x, axis=axis)
 
 
 def argmax(x: np.ndarray, axis=None):

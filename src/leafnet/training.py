@@ -38,6 +38,8 @@ class TrainConfig:
             raise ConfigError(f"epochs and batch size must be >= 1: {self}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ConfigError(f"learning rate must be finite and >= 0, got {self.lr}")
 
 
 @dataclass
@@ -130,7 +132,7 @@ def loss_and_grads(model: M.SequentialModel, x: np.ndarray, target,
     """Loss, number of correct predictions, and parameter gradients of one
     sample or a stacked batch (loss and gradients summed over its samples).
     With `grads`, the gradients are added into it (see models.backward)."""
-    probs, caches = M._forward(model, x, mode, rng)
+    probs, caches = M._forward(model, x, mode, rng, keep_caches=True)
     loss, d_logits = categorical_cross_entropy(probs, target)
     grads = M.backward(model, caches, d_logits, grads)
     correct = int(np.sum(np.argmax(probs, axis=-1) == target))
@@ -188,14 +190,19 @@ def train(model: M.SequentialModel, train_set, valid_set,
     return model, history
 
 
+def predictions(model: M.SequentialModel, dataset):
+    """Inference-mode class probabilities [n, K] and the n labels of each
+    micro-batch of MICRO samples, in the dataset's fixed sample order."""
+    for x, y in _micro_batches(dataset.samples()):
+        yield M.forward(model, x, mode="infer"), y
+
+
 def evaluate_loss_acc(model: M.SequentialModel, dataset) -> tuple[float, float]:
-    """Mean cross-entropy and accuracy over a dataset, inference mode, in
-    micro-batches of MICRO samples."""
+    """Mean cross-entropy and accuracy over a dataset, inference mode."""
     if len(dataset) == 0:
         raise ConfigError("cannot evaluate an empty dataset")
     loss_sum, correct, n = 0.0, 0, 0
-    for x, y in _micro_batches(dataset.samples()):
-        probs = M.forward(model, x, mode="infer")
+    for probs, y in predictions(model, dataset):
         loss, _ = categorical_cross_entropy(probs, y)
         loss_sum += loss
         correct += int(np.sum(np.argmax(probs, axis=-1) == y))

@@ -108,6 +108,8 @@ MALFORMED_MANIFESTS = {
     "layer-without-params": lambda m: {
         **m, "layers": [_without(m["layers"][0], "params")] + m["layers"][1:]},
     "label-map-length": lambda m: {**m, "label_map": m["label_map"][:-1]},
+    "other-gate-order": lambda m: {**m, "gate_order": "fiog"},
+    "missing-gate-order": lambda m: _without(m, "gate_order"),
 }
 
 

@@ -97,6 +97,32 @@ class TestTrain:
         assert "epoch" in err and "batch" in err
 
 
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-0.003"])
+    def test_bad_learning_rate_exit_2_before_reading_data(self, tmp_path, capsys, lr):
+        rc = main(["train", str(tmp_path / "nowhere"), "--lr", lr,
+                   "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "learning rate" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("arch, flag", [
+        ("cnn", "--input"), ("cnn", "--dense"), ("lstm", "--input"),
+        ("lstm", "--hidden"), ("lstm", "--timesteps"), ("lstm", "--dense")])
+    def test_zero_size_flag_exit_2(self, tree, tmp_path, capsys, arch, flag):
+        """0 is a value to validate, not a request for the stock size."""
+        rc = main(["train", str(tree), "--arch", arch, flag, "0", "--epochs", "1",
+                   "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "error" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_negative_lstm_input_exit_2(self, capsys):
+        """-8 squares to the pixel count of 8, which must not pass for it."""
+        rc = main(["summary", "--arch", "lstm", "--input", "-8", "--timesteps", "4"])
+        assert rc == 2
+        assert "--input -8" in capsys.readouterr().err
+
+
 class TestEval:
     def test_overfit_model_full_accuracy_on_train(self, tree, tmp_path, capsys):
         out = tmp_path / "run"

@@ -4,6 +4,7 @@ import pytest
 from helpers import (MALFORMED_MANIFESTS, SHORT_IHDR, make_dataset_tree,
                      rewrite_manifest, write_png, write_ppm)
 from leafnet import data as D
+from leafnet import layers as L
 from leafnet import models as M
 from leafnet.errors import (ConfigError, DatasetError, DecodeError,
                             ModelFormatError)
@@ -178,25 +179,22 @@ class TestBatches:
         return D.scan_dataset(tmp_path)
 
     def test_batch_sizes_include_short_final(self, tmp_path):
-        index = self.make_index(tmp_path, n_train=10)
-        loader = lambda p: D.load_image(p, "cnn", cnn_size=8)
-        sizes = [len(labels) for _, labels in D.batches(index, "train", 4, 0, 0, loader)]
-        assert sizes == [4, 4, 2]
+        ds = D.DiskDataset(self.make_index(tmp_path, n_train=10), "train",
+                           lambda p: D.load_image(p, "cnn", cnn_size=8))
+        assert [len(labels) for _, labels in ds.batches(4, 0, 0)] == [4, 4, 2]
 
     def test_same_seed_epoch_same_order(self, tmp_path):
-        index = self.make_index(tmp_path)
-        loader = lambda p: np.zeros(1, np.float32)
-        order1 = [tuple(lbls) for _, lbls in D.batches(index, "train", 3, 5, 2, loader)]
-        order2 = [tuple(lbls) for _, lbls in D.batches(index, "train", 3, 5, 2, loader)]
+        ds = D.DiskDataset(self.make_index(tmp_path), "train", lambda p: np.zeros(1, np.float32))
+        order1 = [tuple(lbls) for _, lbls in ds.batches(3, 5, 2)]
+        order2 = [tuple(lbls) for _, lbls in ds.batches(3, 5, 2)]
         assert order1 == order2
 
     def test_different_epochs_different_order(self, tmp_path):
         make_dataset_tree(tmp_path, {"a": (0, 0, 0), "b": (50, 50, 50)},
                           n_train=6, n_valid=1, size=8)
-        index = D.scan_dataset(tmp_path)
-        loader = lambda p: np.zeros(1, np.float32)
-        e0 = [l for _, lbls in D.batches(index, "train", 12, 7, 0, loader) for l in lbls]
-        e1 = [l for _, lbls in D.batches(index, "train", 12, 7, 1, loader) for l in lbls]
+        ds = D.DiskDataset(D.scan_dataset(tmp_path), "train", lambda p: np.zeros(1, np.float32))
+        e0 = [l for _, lbls in ds.batches(12, 7, 0) for l in lbls]
+        e1 = [l for _, lbls in ds.batches(12, 7, 1) for l in lbls]
         assert e0 != e1
 
     def test_seed_and_epoch_seed_as_a_pair(self):
@@ -212,7 +210,21 @@ class TestBatches:
         index = self.make_index(tmp_path)
         index.records = [r for r in index.records if r.split != "valid"]
         with pytest.raises(ConfigError):
-            next(D.batches(index, "valid", 2, 0, 0))
+            next(D.DiskDataset(index, "valid").batches(2, 0, 0))
+        with pytest.raises(ConfigError):
+            next(D.MemoryDataset([], [], []).batches(2, 0, 0))
+
+    def test_batch_size_below_one_rejected(self, tmp_path):
+        for ds in (D.DiskDataset(self.make_index(tmp_path), "train"),
+                   D.MemoryDataset([np.zeros(1, np.float32)], [0], ["a"])):
+            with pytest.raises(ConfigError):
+                next(ds.batches(0, 0, 0))
+
+    def test_disk_and_memory_datasets_batch_alike(self, tmp_path):
+        """One shuffle path: the same samples batch alike on either kind."""
+        disk = D.DiskDataset(self.make_index(tmp_path), "train", lambda p: p.name)
+        memory = D.MemoryDataset([x for x, _ in disk.samples()], disk.labels, ["a"])
+        assert list(disk.batches(3, 4, 1)) == list(memory.batches(3, 4, 1))
 
 
 class TestSynthDataset:
@@ -224,7 +236,7 @@ class TestSynthDataset:
 
     def test_nearest_base_color_classifier_is_perfect(self):
         ds = D.synth_dataset(5, 4, seed=3, size=16)
-        anchors = D.synth_base_colors(5)
+        anchors = D._base_colors(5)
         for x, y in ds.samples():
             mean_color = x.mean(axis=(0, 1))
             nearest = int(np.argmin(((anchors - mean_color) ** 2).sum(axis=1)))
@@ -350,7 +362,7 @@ class TestModelFile:
         assert version == 1
         manifest = json.loads(blob[12:12 + mlen].decode("utf-8"))
         assert manifest["arch"] == "cnn"
-        assert manifest["gate_order"] == "ifgo"
+        assert manifest["gate_order"] == L.GATE_ORDER == "ifgo"
         assert manifest["label_map"] == ["a", "b", "c"]
         assert [e["name"] for e in manifest["layers"]] == \
             [s.name for s in model.spec.layers]

@@ -1,0 +1,88 @@
+"""Every top-level name in src/leafnet is used by src/leafnet.
+
+A function, class or constant that nothing in the package references is
+dead code kept alive only by its tests; it is deleted, not kept. The few
+exceptions below are public entry points the acceptance criteria call.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "leafnet"
+
+# (module, name) -> why it stays without a caller in src/
+ALLOWED = {
+    ("models", "forward_train"): "acceptance criterion 3's end-to-end gradient checks "
+                                 "call it",
+    ("layers", "lstm_cell_step"): "the single-step LSTM API acceptance criterion 3 "
+                                  "checks against finite differences",
+    ("layers", "lstm_cell_backward"): "the single-step LSTM API acceptance criterion 3 "
+                                      "checks against finite differences",
+    ("data", "synth_dataset"): "the synthetic fixture acceptance criterion 6 trains on",
+}
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def _defined(tree: ast.Module) -> list[str]:
+    """Top-level functions, classes and assigned constants."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if not n.startswith("__")]
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _references(module: str, trees: dict[str, ast.Module]) -> set[str]:
+    """Names of `module` used anywhere in the package: bare names inside it,
+    `alias.name` where alias is bound to it by `from . import module as
+    alias`, and names imported from it with `from .module import name`."""
+    used = set()
+    for name, tree in trees.items():
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module == module:
+                    used |= {a.name for a in node.names}
+                elif node.module is None:
+                    aliases |= {a.asname or a.name for a in node.names if a.name == module}
+        for node in ast.walk(tree):
+            if name == module and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases):
+                used.add(node.attr)
+    return used
+
+
+def test_every_top_level_name_is_used_in_src():
+    trees = _trees()
+    exported = set().union(*(_exported(t) for t in trees.values()))
+    unused = []
+    for module, tree in trees.items():
+        used = _references(module, trees)
+        unused += [f"{module}.{name}" for name in _defined(tree)
+                   if name not in used and name not in exported
+                   and (module, name) not in ALLOWED]
+    assert not unused, f"no caller in src/leafnet (delete them): {unused}"
+
+
+def test_allowlist_names_exist_and_are_unused():
+    """An exception that gains a caller or disappears leaves the list."""
+    trees = _trees()
+    for module, name in ALLOWED:
+        assert name in _defined(trees[module]), f"{module}.{name} is gone"
+        assert name not in _references(module, trees), f"{module}.{name} has a caller now"

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -237,20 +240,29 @@ class TestCsv:
         rng = np.random.default_rng(2)
         counts = rng.integers(0, 9, (3, 3)).astype(np.int64)
         cm = MET.ConfusionMatrix(counts, ["x", "y", "z"])
-        back = MET.cm_from_csv(MET.cm_to_csv(cm))
-        np.testing.assert_array_equal(back.counts, counts)
-        assert back.class_names == ["x", "y", "z"]
+        names, rows = read_csv(MET.cm_to_csv(cm))
+        assert names == ["x", "y", "z"]
+        assert [r[0] for r in rows] == names
+        np.testing.assert_array_equal([[int(v) for v in r[1:]] for r in rows], counts)
 
     def test_round_trip_with_commas_in_names(self):
         names = ["Pepper,_bell__Bacterial_spot", "Pepper,_bell__healthy"]
         cm = MET.ConfusionMatrix(np.array([[3, 1], [0, 4]], dtype=np.int64), names)
-        back = MET.cm_from_csv(MET.cm_to_csv(cm))
-        assert back.class_names == names
-        np.testing.assert_array_equal(back.counts, cm.counts)
+        header, rows = read_csv(MET.cm_to_csv(cm))
+        assert header == names
+        assert rows == [[names[0], "3", "1"], [names[1], "0", "4"]]
 
     def test_38_zero_matrix_line_count(self):
         names = [f"c{i:02d}" for i in range(38)]
         cm = MET.ConfusionMatrix(np.zeros((38, 38), dtype=np.int64), names)
         text = MET.cm_to_csv(cm)
         assert len(text.strip().split("\n")) == 39
-        assert not MET.cm_from_csv(text).counts.any()
+        header, rows = read_csv(text)
+        assert header == names
+        assert all(r[1:] == ["0"] * 38 for r in rows)
+
+
+def read_csv(text: str) -> tuple[list[str], list[list[str]]]:
+    """The header and the data rows of a confusion-matrix CSV."""
+    rows = list(csv.reader(io.StringIO(text)))
+    return rows[0], rows[1:]

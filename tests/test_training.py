@@ -287,28 +287,30 @@ class TestTrainLoop:
             for key in a:
                 assert np.array_equal(a[key], b[key])
 
-    def test_batch_gradient_is_mean_of_sample_gradients(self):
-        model = toy_cnn()
+    def test_batch_gradient_is_mean_of_sample_gradients(self, monkeypatch):
+        """train hands Adam the mean of the batch's per-sample gradients,
+        the final short batch included: 6 samples in batches of 4 and 2."""
         ds = self.make_sets()
-        xs = ds.inputs[:4]
-        ys = ds.labels[:4]
-        per_sample = []
-        for x, y in zip(xs, ys):
-            _, _, g = TR.loss_and_grads(model, x, y, mode="infer")
-            per_sample.append(g)
-        mean = [{k: np.mean([g[li][k] for g in per_sample], axis=0)
-                 for k in per_sample[0][li]} for li in range(len(model.params))]
-        total = [{k: np.zeros_like(v) for k, v in p.items()} for p in model.params]
-        for g in per_sample:
-            for acc, gl in zip(total, g):
-                for k in acc:
-                    acc[k] += gl[k]
-        for acc in total:
-            for k in acc:
-                acc[k] /= len(xs)
-        for a, b in zip(mean, total):
-            for k in a:
-                np.testing.assert_allclose(a[k], b[k], atol=1e-6)
+        cfg = TR.TrainConfig(epochs=1, batch_size=4, lr=1e-3, seed=3)
+        model = toy_cnn()
+        model_to_f64(model)
+        batches = list(ds.batches(cfg.batch_size, cfg.seed, 0))
+        adam_step, steps = TR.adam_step, []
+
+        def checked_adam_step(params, grads, state):
+            xs, ys = batches[len(steps)]
+            singles = [TR.loss_and_grads(model, x, y)[2] for x, y in zip(xs, ys)]
+            for li, layer in enumerate(grads):
+                assert list(layer) == list(params[li])
+                for key, g in layer.items():
+                    mean = sum(s[li][key] for s in singles) / len(xs)
+                    np.testing.assert_allclose(g, mean, rtol=1e-10, atol=1e-13)
+            steps.append(len(xs))
+            return adam_step(params, grads, state)
+
+        monkeypatch.setattr(TR, "adam_step", checked_adam_step)
+        TR.train(model, ds, ds, cfg)
+        assert steps == [4, 2]
 
     def test_overfits_tiny_synthetic_set(self):
         ds = D.synth_dataset(4, 2, seed=7, size=14)
@@ -396,3 +398,8 @@ class TestHistoryCsv:
             TR.TrainConfig(epochs=0)
         with pytest.raises(ConfigError):
             TR.TrainConfig(batch_size=0)
+
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf, -0.003])
+    def test_learning_rate_must_be_finite_and_non_negative(self, lr):
+        with pytest.raises(ConfigError, match="learning rate"):
+            TR.TrainConfig(lr=lr)
