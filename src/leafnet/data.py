@@ -9,6 +9,10 @@ Class ids are assigned by sorting class names in byte order, so the same
 tree gives the same label map on any machine.
 
 PPM (P6) and 8-bit PNG decode natively; JPEG needs pillow (optional extra).
+The PNG decoder checks every chunk's CRC-32 and inflates no more than the
+header's height * (stride + 1) bytes (plus one, to detect longer data).
+Rows filtered only with None, Sub or Up are unfiltered row by row; any
+Average or Paeth row sends the image through an anti-diagonal wavefront.
 Pixel values are scaled to [0, 1]; CNN inputs resize to a square RGB image,
 LSTM inputs resize then reshape row-major into [timesteps, features].
 
@@ -25,6 +29,7 @@ import json
 import math
 import os
 import struct
+import sys
 import warnings
 import zlib
 from dataclasses import dataclass
@@ -136,14 +141,6 @@ def _decode_ppm(data: bytes, path: Path) -> np.ndarray:
     return np.frombuffer(pixels, dtype=np.uint8).reshape(height, width, 3)
 
 
-def _paeth(a: int, b: int, c: int) -> int:
-    p = a + b - c
-    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-    if pa <= pb and pa <= pc:
-        return a
-    return b if pb <= pc else c
-
-
 def _decode_png(data: bytes, path: Path) -> np.ndarray:
     """8-bit non-interlaced PNG, color types gray / RGB / gray+alpha / RGBA."""
     if data[:8] != b"\x89PNG\r\n\x1a\n":
@@ -156,6 +153,9 @@ def _decode_png(data: bytes, path: Path) -> np.ndarray:
         if pos + 12 + length > len(data):
             raise DecodeError(f"{path}: PNG chunk {ctype!r} truncated")
         chunk = data[pos + 8:pos + 8 + length]
+        crc, = struct.unpack(">I", data[pos + 8 + length:pos + 12 + length])
+        if zlib.crc32(chunk, zlib.crc32(ctype)) != crc:
+            raise DecodeError(f"{path}: PNG chunk {ctype!r} fails its CRC-32 check")
         pos += 12 + length
         if ctype == b"IHDR":
             if length != 13:
@@ -174,42 +174,31 @@ def _decode_png(data: bytes, path: Path) -> np.ndarray:
             break
     if width is None or not idat:
         raise DecodeError(f"{path}: PNG missing IHDR or IDAT")
+    # Inflate at most the declared size, plus one byte to tell a longer
+    # stream apart, so a small file cannot expand into a large allocation.
+    size = height * (width * channels + 1)
+    if size > sys.maxsize:
+        raise DecodeError(f"{path}: PNG size {width}x{height} is too large to decode")
+    inflate = zlib.decompressobj()
     try:
-        raw = zlib.decompress(bytes(idat))
+        raw = inflate.decompress(idat, size)
+        if not inflate.eof and inflate.decompress(inflate.unconsumed_tail, 1):
+            raise DecodeError(f"{path}: PNG image data is longer than its "
+                              f"{width}x{height} header declares")
     except zlib.error as exc:
         raise DecodeError(f"{path}: PNG deflate stream corrupt") from exc
-    stride = width * channels
-    if len(raw) != height * (stride + 1):
-        raise DecodeError(f"{path}: PNG scanline data has wrong size")
-    out = np.zeros((height, stride), dtype=np.uint8)
-    prev = np.zeros(stride, dtype=np.int64)
-    for y in range(height):
-        offset = y * (stride + 1)
-        filt = raw[offset]
-        line = np.frombuffer(raw, dtype=np.uint8,
-                             count=stride, offset=offset + 1).astype(np.int64)
-        if filt == 0:
-            cur = line
-        elif filt == 2:
-            cur = (line + prev) & 0xFF
-        elif filt in (1, 3, 4):
-            cur = np.zeros(stride, dtype=np.int64)
-            for x in range(stride):
-                left = cur[x - channels] if x >= channels else 0
-                up = prev[x]
-                ul = prev[x - channels] if x >= channels else 0
-                if filt == 1:
-                    pred = left
-                elif filt == 3:
-                    pred = (left + up) // 2
-                else:
-                    pred = _paeth(left, up, ul)
-                cur[x] = (line[x] + pred) & 0xFF
-        else:
-            raise DecodeError(f"{path}: unknown PNG filter {filt}")
-        out[y] = cur
-        prev = cur
-    img = out.reshape(height, width, channels)
+    if len(raw) != size or not inflate.eof:
+        raise DecodeError(f"{path}: PNG image data ends early")
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(height, size // height)
+    filters = rows[:, 0]
+    top = filters.max()
+    if top > 4:
+        raise DecodeError(f"{path}: unknown PNG filter {top}")
+    lines = rows[:, 1:].reshape(height, width, channels)
+    if top > 2:     # an Average or Paeth row
+        img = _unfilter_wavefront(lines, filters)
+    else:
+        img = _unfilter_rows(lines, filters)
     if channels == 1:
         img = np.repeat(img, 3, axis=2)
     elif channels == 2:
@@ -217,6 +206,58 @@ def _decode_png(data: bytes, path: Path) -> np.ndarray:
     elif channels == 4:
         img = img[:, :, :3]
     return img
+
+
+def _unfilter_rows(lines: np.ndarray, filters: np.ndarray) -> np.ndarray:
+    """Undo PNG filters None (0), Sub (1) and Up (2) row by row on [H, W, C]
+    filtered bytes. uint8 arithmetic wraps mod 256, as PNG requires."""
+    out = np.empty_like(lines)
+    prev = np.zeros_like(lines[0])
+    for y, filt in enumerate(filters.tolist()):
+        if filt == 0:
+            out[y] = lines[y]
+        elif filt == 1:
+            np.cumsum(lines[y], axis=0, dtype=np.uint8, out=out[y])
+        else:
+            np.add(lines[y], prev, out=out[y])
+        prev = out[y]
+    return out
+
+
+def _unfilter_wavefront(lines: np.ndarray, filters: np.ndarray) -> np.ndarray:
+    """Undo any mix of the five PNG filters on [H, W, C] filtered bytes.
+
+    Pixel (y, x) predicts from (y, x-1), (y-1, x) and (y-1, x-1) only, so
+    all pixels of one anti-diagonal y + x = d are independent. The bytes are
+    copied into a skewed uint8 array, `skew[d + 2, i + 1]`, where i runs
+    along the shorter image side; each diagonal is then one contiguous slice
+    and reads its neighbours from the two slices before it. The zero rows
+    and column in front of the data are the out-of-image neighbours."""
+    height, width, channels = lines.shape
+    short, long = min(height, width), max(height, width)
+    skew = np.zeros((height + width + 1, short + 1, channels), dtype=np.uint8)
+    diag, col = skew.strides[:2]
+    steps = (diag + col, diag) if height <= width else (diag, diag + col)
+    pixels = np.lib.stride_tricks.as_strided(
+        skew[2:, 1:], shape=lines.shape, strides=steps + (skew.strides[2],),
+        writeable=True)
+    pixels[...] = lines
+    for d in range(height + width - 1):
+        lo, hi = max(0, d - long + 1), min(short - 1, d)
+        same = skew[d + 1, lo + 1:hi + 2].astype(np.int16)
+        before = skew[d + 1, lo:hi + 1].astype(np.int16)
+        c = skew[d, lo:hi + 1].astype(np.int16)
+        if height <= width:     # i is y: same i is the left pixel
+            a, b, row_types = same, before, filters[lo:hi + 1]
+        else:                   # i is x: same i is the pixel above
+            a, b, row_types = before, same, filters[d - hi:d - lo + 1][::-1]
+        # Paeth distances |p - a|, |p - b|, |p - c| for p = a + b - c
+        pa, pb = np.abs(b - c), np.abs(a - c)
+        pc = np.abs(a + b - 2 * c)
+        paeth = np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
+        pred = np.choose(row_types[:, None], (0, a, b, (a + b) >> 1, paeth))
+        skew[d + 2, lo + 1:hi + 2] += pred.astype(np.uint8)
+    return pixels.copy()
 
 
 def _decode_jpeg(path: Path) -> np.ndarray:

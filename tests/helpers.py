@@ -55,23 +55,106 @@ def write_ppm(path: Path, arr: np.ndarray) -> None:
     path.write_bytes(b"P6\n%d %d\n255\n" % (w, h) + arr.astype(np.uint8).tobytes())
 
 
-def _png_chunk(ctype: bytes, payload: bytes) -> bytes:
+PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
+
+
+def png_chunk(ctype: bytes, payload: bytes) -> bytes:
     return (struct.pack(">I", len(payload)) + ctype + payload
             + struct.pack(">I", zlib.crc32(ctype + payload)))
 
 
-def write_png(path: Path, arr: np.ndarray, ihdr: bytes | None = None) -> None:
-    """Minimal PNG writer (8-bit, filter 0 rows) for decode tests; `ihdr`
-    replaces the IHDR payload (to write malformed headers)."""
+def png_file(ihdr: bytes, idat: bytes) -> bytes:
+    """PNG bytes with one IHDR, one IDAT and an IEND chunk, CRCs correct."""
+    return (PNG_SIGNATURE + png_chunk(b"IHDR", ihdr) + png_chunk(b"IDAT", idat)
+            + png_chunk(b"IEND", b""))
+
+
+def _paeth(a: int, b: int, c: int) -> int:
+    p = a + b - c
+    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+    if pa <= pb and pa <= pc:
+        return a
+    return b if pb <= pc else c
+
+
+def _filter_rows(raw: np.ndarray, filters, bpp: int) -> np.ndarray:
+    """PNG-filter each scanline of raw [H, stride] bytes with its own type
+    from `filters`. Filters predict from unfiltered neighbours, so all rows
+    filter at once. A type above 4 keeps its row's bytes as they are."""
+    raw = raw.astype(np.int16)
+    left = np.zeros_like(raw)
+    left[:, bpp:] = raw[:, :-bpp]
+    up = np.zeros_like(raw)
+    up[1:] = raw[:-1]
+    up_left = np.zeros_like(raw)
+    up_left[1:, bpp:] = raw[:-1, :-bpp]
+    p = left + up - up_left
+    pa, pb, pc = np.abs(p - left), np.abs(p - up), np.abs(p - up_left)
+    paeth = np.where((pa <= pb) & (pa <= pc), left, np.where(pb <= pc, up, up_left))
+    preds = np.stack([np.zeros_like(raw), left, up, (left + up) // 2, paeth,
+                      np.zeros_like(raw)])
+    rows = np.minimum(np.asarray(filters, dtype=np.intp), 5)[:, None]
+    pred = preds[rows, np.arange(raw.shape[0])[:, None], np.arange(raw.shape[1])]
+    return ((raw - pred) & 0xFF).astype(np.uint8)
+
+
+def reference_unfilter(raw: bytes, height: int, width: int, channels: int) -> np.ndarray:
+    """Per-byte PNG unfilter of inflated scanlines, as the PNG specification
+    states it; the reference the vectorised decoder must match byte for byte."""
+    stride = width * channels
+    out = np.zeros((height, stride), dtype=np.uint8)
+    prev = np.zeros(stride, dtype=np.int64)
+    for y in range(height):
+        offset = y * (stride + 1)
+        filt = raw[offset]
+        line = np.frombuffer(raw, dtype=np.uint8,
+                             count=stride, offset=offset + 1).astype(np.int64)
+        if filt == 0:
+            cur = line
+        elif filt == 2:
+            cur = (line + prev) & 0xFF
+        elif filt in (1, 3, 4):
+            cur = np.zeros(stride, dtype=np.int64)
+            for x in range(stride):
+                left = cur[x - channels] if x >= channels else 0
+                up = prev[x]
+                ul = prev[x - channels] if x >= channels else 0
+                if filt == 1:
+                    pred = left
+                elif filt == 3:
+                    pred = (left + up) // 2
+                else:
+                    pred = _paeth(left, up, ul)
+                cur[x] = (line[x] + pred) & 0xFF
+        else:
+            raise ValueError(f"unknown PNG filter {filt}")
+        out[y] = cur
+        prev = cur
+    return out.reshape(height, width, channels)
+
+
+def png_scanlines(arr: np.ndarray, filters=None) -> bytes:
+    """The inflated PNG image data of `arr` ([H, W, C] uint8): each row is
+    its filter type byte, then the row filtered by that type (`filters`,
+    one type per row; all 0 when None)."""
+    h, w, c = arr.shape
+    filters = [0] * h if filters is None else list(filters)
+    rows = _filter_rows(arr.reshape(h, w * c), filters, bpp=c)
+    return np.concatenate([np.array(filters, np.uint8)[:, None], rows], axis=1).tobytes()
+
+
+def write_png(path: Path, arr: np.ndarray, ihdr: bytes | None = None,
+              filters=None) -> None:
+    """Minimal 8-bit PNG writer for decode tests. `filters` gives each row's
+    filter type (0 None, 1 Sub, 2 Up, 3 Average, 4 Paeth; a type above 4 is
+    written over unfiltered bytes, to test its rejection); None writes type 0
+    rows. `ihdr` replaces the IHDR payload (to write malformed headers)."""
     if arr.ndim == 2:
         arr = arr[:, :, None]
     h, w, c = arr.shape
-    color = {1: 0, 2: 4, 3: 2, 4: 6}[c]
-    raw = b"".join(b"\x00" + arr[y].tobytes() for y in range(h))
     if ihdr is None:
-        ihdr = struct.pack(">IIBBBBB", w, h, 8, color, 0, 0, 0)
-    path.write_bytes(b"\x89PNG\r\n\x1a\n" + _png_chunk(b"IHDR", ihdr)
-                     + _png_chunk(b"IDAT", zlib.compress(raw)) + _png_chunk(b"IEND", b""))
+        ihdr = struct.pack(">IIBBBBB", w, h, 8, {1: 0, 2: 4, 3: 2, 4: 6}[c], 0, 0, 0)
+    path.write_bytes(png_file(ihdr, zlib.compress(png_scanlines(arr, filters))))
 
 
 # An 8-byte IHDR payload: width and height only, the rest of the header cut.

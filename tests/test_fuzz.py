@@ -1,0 +1,162 @@
+"""Seeded fuzzing of the parsers at the trust boundary: decode_image and
+load_model end every malformed input in a LeafnetError, and `leafnet
+predict` turns one into exit code 2."""
+
+import copy
+import json
+import os
+import struct
+
+import numpy as np
+import pytest
+
+from helpers import write_png, write_ppm
+from leafnet import data as D
+from leafnet import models as M
+from leafnet.cli import main
+from leafnet.errors import LeafnetError
+
+
+def _truncations(blob: bytes, end: int):
+    for n in range(end):
+        yield f"cut at {n}", blob[:n]
+
+
+def _bit_flips(blob: bytes, start: int, end: int):
+    for i in range(start, end):
+        for bit in range(8):
+            mutated = bytearray(blob)
+            mutated[i] ^= 1 << bit
+            yield f"bit {bit} of byte {i} flipped", bytes(mutated)
+
+
+def _seeded_flips(blob: bytes, start: int, count: int, seed: int):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        i, bit = int(rng.integers(start, len(blob))), int(rng.integers(8))
+        mutated = bytearray(blob)
+        mutated[i] ^= 1 << bit
+        yield f"bit {bit} of byte {i} flipped", bytes(mutated)
+
+
+def _accepted(path, cases, read) -> int:
+    """Write each case's bytes to `path` and read it back with `read`; count
+    the cases read without error. Any error but a LeafnetError fails."""
+    fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_TRUNC)
+    accepted = size = 0
+    try:
+        for label, blob in cases:
+            os.pwrite(fd, blob, 0)
+            if len(blob) != size:   # most cases keep the size; truncating is slow
+                os.ftruncate(fd, size := len(blob))
+            try:
+                read(path)
+                accepted += 1
+            except LeafnetError:
+                pass
+            except Exception as exc:
+                raise AssertionError(f"{label}: untyped {exc!r}") from exc
+    finally:
+        os.close(fd)
+    return accepted
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """A small mixed-filter PNG, a small PPM and a reduced-CNN model file."""
+    root = tmp_path_factory.mktemp("fuzz")
+    pixels = np.random.default_rng(11).integers(0, 256, (5, 4, 3), dtype=np.uint8)
+    write_png(root / "image.png", pixels, filters=[0, 1, 2, 3, 4])
+    write_ppm(root / "image.ppm", pixels)
+    model = M.build_cnn(M.CnnConfig(input_size=8, filters=(2,), dense_units=4, classes=2))
+    model.label_map = ["a", "b"]
+    D.save_model(model, root / "model.leaf")
+    return {kind: root / f"image.{kind}" for kind in ("png", "ppm")} | {
+        "model": root / "model.leaf"}
+
+
+@pytest.mark.parametrize("kind", ["png", "ppm"])
+def test_image_truncations_and_bit_flips(files, tmp_path, kind):
+    blob = files[kind].read_bytes()
+    cases = [*_truncations(blob, len(blob)), *_bit_flips(blob, 0, len(blob))]
+    accepted = _accepted(tmp_path / f"case.{kind}", cases, D.decode_image)
+    assert accepted < len(cases)
+    assert _accepted(tmp_path / f"case.{kind}", [("intact", blob)], D.decode_image) == 1
+
+
+def _manifest_end(blob: bytes) -> int:
+    return 12 + struct.unpack("<I", blob[8:12])[0]
+
+
+def test_model_header_and_manifest_truncations_and_bit_flips(files, tmp_path):
+    blob = files["model"].read_bytes()
+    end = _manifest_end(blob)
+    cases = [*_truncations(blob, end + 1), *_bit_flips(blob, 0, end)]
+    assert _accepted(tmp_path / "case.leaf", cases, D.load_model) < len(cases)
+
+
+def test_model_body_seeded_bit_flips(files, tmp_path):
+    blob = files["model"].read_bytes()
+    cases = list(_seeded_flips(blob, _manifest_end(blob), 200, seed=5))
+    _accepted(tmp_path / "case.leaf", cases, D.load_model)
+
+
+# Values a mutation puts in place of a manifest node.
+_VALUES = [None, True, False, 0, -1, 3, 2 ** 64, 0.5, float("nan"), "", "x",
+           "conv2d", [], [1], [-1, 2], {}, {"name": "x"}]
+
+
+def _node_paths(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _node_paths(child, path + (key,))
+
+
+def _json_mutations(manifest: dict, count: int, seed: int):
+    """Replace, delete or wrap one node of the manifest per case."""
+    rng = np.random.default_rng(seed)
+    paths = list(_node_paths(manifest))[1:]
+    for _ in range(count):
+        path = paths[int(rng.integers(len(paths)))]
+        mutated = copy.deepcopy(manifest)
+        parent = mutated
+        for key in path[:-1]:
+            parent = parent[key]
+        action = int(rng.integers(3))
+        if action == 0:
+            parent[path[-1]] = _VALUES[int(rng.integers(len(_VALUES)))]
+        elif action == 1:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = [parent[path[-1]]]
+        yield f"{['replaced', 'deleted', 'wrapped'][action]} {path}", mutated
+
+
+def test_model_seeded_manifest_json_mutations(files, tmp_path):
+    blob = files["model"].read_bytes()
+    end = _manifest_end(blob)
+    manifest = json.loads(blob[12:end])
+    cases = []
+    for label, mutated in _json_mutations(manifest, 300, seed=9):
+        text = json.dumps(mutated).encode("utf-8")
+        cases.append((label, blob[:8] + struct.pack("<I", len(text)) + text + blob[end:]))
+    assert _accepted(tmp_path / "case.leaf", cases, D.load_model) < len(cases)
+
+
+# One corruption per file kind: a flipped IHDR byte fails its CRC, the
+# other two files lose their last bytes.
+_CORRUPT = {"png": lambda b: b[:20] + bytes([b[20] ^ 1]) + b[21:],
+            "ppm": lambda b: b[:-3],
+            "model": lambda b: b[:-3]}
+
+
+@pytest.mark.parametrize("kind", sorted(_CORRUPT))
+def test_predict_on_corrupt_file_exit_2(files, tmp_path, capsys, kind):
+    bad = tmp_path / f"bad-{files[kind].name}"
+    bad.write_bytes(_CORRUPT[kind](files[kind].read_bytes()))
+    paths = {"model": files["model"], "image": files["png"]}
+    paths["model" if kind == "model" else "image"] = bad
+    assert main(["predict", str(paths["model"]), str(paths["image"])]) == 2
+    assert bad.name in capsys.readouterr().err
