@@ -104,7 +104,7 @@ def scan_dataset(root: str | Path) -> DatasetIndex:
 # decoding
 
 def _decode_ppm(data: bytes, path: Path) -> np.ndarray:
-    """Binary PPM (P6), maxval <= 255."""
+    """Binary PPM (P6), maxval <= 255; samples are rescaled to 0..255."""
     pos = 0
 
     def token() -> bytes:
@@ -138,7 +138,13 @@ def _decode_ppm(data: bytes, path: Path) -> np.ndarray:
     pixels = data[pos:pos + width * height * 3]
     if len(pixels) != width * height * 3:
         raise DecodeError(f"{path}: PPM pixel data truncated")
-    return np.frombuffer(pixels, dtype=np.uint8).reshape(height, width, 3)
+    samples = np.frombuffer(pixels, dtype=np.uint8).reshape(height, width, 3)
+    if maxval == 255:
+        return samples
+    if samples.max() > maxval:
+        raise DecodeError(f"{path}: PPM sample above maxval {maxval}")
+    # rescale to 0..255, rounding to nearest
+    return ((samples.astype(np.uint16) * 255 + maxval // 2) // maxval).astype(np.uint8)
 
 
 def _decode_png(data: bytes, path: Path) -> np.ndarray:

@@ -14,15 +14,19 @@ Conventions:
   - parameters are read-only during forward/backward; only the optimizer
     mutates them
 
-Convolution forward and backward are nine shifted GEMMs through the shared
-matmul kernel, so conv and dense exercise one numeric hot path. A chunk of n
-samples is zero-padded and flattened once to rows ordered (padded row r,
-sample b, padded column c), and kernel tap (i, j) multiplies the rows
-starting at i*n*Wp + j (Wp the padded width): one GEMM per tap covers the
-whole chunk, and the kernel gradient sums over it inside that GEMM. Outputs
-are computed on "wide" rows of Wp columns and the kw-1 columns past the
-output width are dropped. A chunk holds max(1, ROWS // (oh*Wp)) samples, so
-large layers run one sample per GEMM and small ones batch.
+Convolution runs as row-tap GEMMs through the shared matmul kernel, so conv
+and dense exercise one numeric hot path. A chunk of n samples is zero-padded
+and flattened once to rows ordered (padded row r, sample b, padded column c),
+so output row o starts at row o*n*Wp (Wp the padded width). For each band of
+output rows, the kw column shifts of the band's padded rows are copied side by
+side into a [rows, kw*C] buffer, and kernel row i, reshaped to [kw*C, Cout],
+multiplies the buffer rows from i*n*Wp on: forward and the kernel gradient are
+kh GEMMs with an inner or outer dimension of kw*C. The input gradient is kh*kw
+shifted GEMMs, tap (i, j) adding into the padded rows from i*n*Wp + j.
+Outputs are computed on "wide" rows of Wp columns and the kw-1 columns past
+the output width are dropped. A chunk holds max(1, ROWS // (oh*Wp)) samples
+and a band max(1, ROWS // (n*Wp)) output rows, so large layers stream one
+sample through bounded bands and small ones batch samples in one band.
 
 The LSTM has two entry points. lstm_forward/lstm_backward run the whole
 sequence and are what the models use. lstm_cell_step/lstm_cell_backward are
@@ -109,9 +113,11 @@ def _as_batch(x: np.ndarray, rank: int, what: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # convolution (3x3, stride 1, same/valid)
 
-# Wide output rows one conv GEMM aims for; chosen by timing the stock CNN's
-# layers at 4 samples (batching the 128x128 and 63x63 layers was slower).
-ROWS = 4096
+# Wide output rows one conv GEMM aims for: a chunk of samples, or a band of a
+# chunk's output rows, holds at most this many (one output row, at least).
+# The band's row-tap buffer is (ROWS + (kh-1)*n*Wp) x kw*C, at most 2.8 MB on
+# the stock CNN. Timed on its layers at 4 samples, 1024 to 4096 ran alike.
+ROWS = 2048
 
 
 def conv_output_hw(h: int, w: int, kh: int, kw: int, padding: str) -> tuple[int, int]:
@@ -125,9 +131,11 @@ def conv_output_hw(h: int, w: int, kh: int, kw: int, padding: str) -> tuple[int,
     raise ConfigError(f"unknown padding {padding!r}")
 
 
-def _chunks(n: int, rows_per_sample: int):
-    """(first sample, sample count) of each chunk of one conv call."""
-    step = max(1, ROWS // rows_per_sample)
+def _chunks(n: int, rows_each: int):
+    """(first, count) of each run of items, `rows_each` wide rows apiece,
+    that fits ROWS: the samples of one conv call, or the output rows of one
+    chunk."""
+    step = max(1, ROWS // rows_each)
     return [(b, min(step, n - b)) for b in range(0, n, step)]
 
 
@@ -144,15 +152,25 @@ def _padded_rows(x: np.ndarray, pad: int, kw: int) -> np.ndarray:
     return flat
 
 
+def _row_taps(flat: np.ndarray, oh: int, stride: int, kh: int, kw: int):
+    """Per band of a chunk's output rows (stride = n*Wp rows per output row):
+    (first output row o, row count, taps). taps [(kh-1+count)*stride, kw*C]
+    holds the kw column shifts of flat's rows from o*stride side by side, so
+    row t is flat[o*stride + t + j] for j = 0..kw-1, and the rows from
+    i*stride on multiply kernel row i reshaped to [kw*C, Cout]. Every band
+    reuses one buffer."""
+    bands = _chunks(oh, stride)
+    buf = np.empty(((kh - 1 + bands[0][1]) * stride, kw, flat.shape[1]), dtype=flat.dtype)
+    for o, no in bands:
+        rows = (kh - 1 + no) * stride
+        for j in range(kw):
+            buf[:rows, j] = flat[o * stride + j:o * stride + j + rows]
+        yield o, no, buf[:rows].reshape(rows, -1)
+
+
 def _unpad(rows: np.ndarray, hp: int, n: int, wp: int, rs: slice, cs: slice) -> np.ndarray:
     """The [n, len(rs), len(cs), C] view of (row, sample, column)-ordered rows."""
     return rows[:hp * n * wp].reshape(hp, n, wp, -1)[rs, :, cs].transpose(1, 0, 2, 3)
-
-
-def _taps(kh: int, kw: int, row_stride: int):
-    """Kernel taps (i, j) with the row offset i*row_stride + j of their
-    shifted window; row_stride is n*Wp for a chunk of n samples."""
-    return [(i, j, i * row_stride + j) for i in range(kh) for j in range(kw)]
 
 
 def conv2d_forward(x: np.ndarray, params: dict[str, np.ndarray],
@@ -166,15 +184,18 @@ def conv2d_forward(x: np.ndarray, params: dict[str, np.ndarray],
     oh, ow = conv_output_hw(h, w, kh, kw, padding)
     pad = (kh - 1) // 2 if padding == "same" else 0
     wp = w + 2 * pad
-    acc_dtype = np.result_type(x, kernels)
-    out = np.empty((n, oh, ow, cout), dtype=np.result_type(acc_dtype, bias))
+    k_rows = kernels.reshape(kh, kw * cin, cout)
+    out = np.empty((n, oh, ow, cout), dtype=np.result_type(x, kernels, bias))
     for b, nb in _chunks(n, oh * wp):
         flat = _padded_rows(xb[b:b + nb], pad, kw)
-        m = oh * nb * wp
-        acc = np.zeros((m, cout), dtype=acc_dtype)
-        for i, j, s in _taps(kh, kw, nb * wp):
-            acc += T.matmul(flat[s:s + m], kernels[i, j])
-        np.add(_unpad(acc, oh, nb, wp, slice(None), slice(ow)), bias, out=out[b:b + nb])
+        stride = nb * wp
+        for o, no, taps in _row_taps(flat, oh, stride, kh, kw):
+            m = no * stride
+            acc = T.matmul(taps[:m], k_rows[0])
+            for i in range(1, kh):
+                acc += T.matmul(taps[i * stride:i * stride + m], k_rows[i])
+            np.add(_unpad(acc, no, nb, wp, slice(None), slice(ow)), bias,
+                   out=out[b:b + nb, o:o + no])
     return out if x.ndim == 4 else out[0]
 
 
@@ -193,30 +214,32 @@ def conv2d_backward(x: np.ndarray, params: dict[str, np.ndarray], upstream: np.n
     ub = upstream if x.ndim == 4 else upstream[None]
     pad = (kh - 1) // 2 if padding == "same" else 0
     hp, wp = h + 2 * pad, w + 2 * pad
-    d_kernels = np.empty(kernels.shape, dtype=np.result_type(x, upstream))
-    d_chunks = []
+    d_rows = np.zeros((kh, kw * cin, cout), dtype=np.result_type(x, upstream))
+    if need_input:
+        d_x = np.empty(xb.shape, dtype=np.result_type(upstream, kernels))
     for b, nb in _chunks(n, oh * wp):
         flat = _padded_rows(xb[b:b + nb], pad, kw)
-        m = oh * nb * wp
-        # wide rows: the kw-1 columns past the output width carry zero gradient
-        up = np.zeros((oh, nb, wp, cout), dtype=upstream.dtype)
-        up[:, :, :ow] = ub[b:b + nb].transpose(1, 0, 2, 3)
-        up = up.reshape(m, cout)
+        stride = nb * wp
+        u_chunk = ub[b:b + nb].transpose(1, 0, 2, 3)
         if need_input:
-            d_flat = np.zeros((flat.shape[0], cin), dtype=np.result_type(upstream, kernels))
-        for i, j, s in _taps(kh, kw, nb * wp):
-            g = T.matmul(flat[s:s + m].T, up)
-            if b:
-                d_kernels[i, j] += g
-            else:
-                d_kernels[i, j] = g
+            d_flat = np.zeros((flat.shape[0], cin), dtype=d_x.dtype)
+        for o, no, taps in _row_taps(flat, oh, stride, kh, kw):
+            m = no * stride
+            # wide rows: the kw-1 columns past the output width carry zero gradient
+            up = np.zeros((no, nb, wp, cout), dtype=upstream.dtype)
+            up[:, :, :ow] = u_chunk[o:o + no]
+            up = up.reshape(m, cout)
+            for i in range(kh):
+                d_rows[i] += T.matmul(taps[i * stride:i * stride + m].T, up)
             if need_input:
-                d_flat[s:s + m] += T.matmul(up, kernels[i, j].T)
+                for i in range(kh):
+                    for j in range(kw):
+                        s = (o + i) * stride + j
+                        d_flat[s:s + m] += T.matmul(up, kernels[i, j].T)
         if need_input:
-            d_chunks.append(_unpad(d_flat, hp, nb, wp, slice(pad, pad + h), slice(pad, pad + w)))
-    grads = {"kernels": d_kernels, "bias": _rows(upstream).sum(axis=0)}
+            d_x[b:b + nb] = _unpad(d_flat, hp, nb, wp, slice(pad, pad + h), slice(pad, pad + w))
+    grads = {"kernels": d_rows.reshape(kernels.shape), "bias": _rows(upstream).sum(axis=0)}
     if need_input:
-        d_x = d_chunks[0] if len(d_chunks) == 1 else np.concatenate(d_chunks)
         grads["input"] = d_x if x.ndim == 4 else d_x[0]
     return grads
 
@@ -257,7 +280,7 @@ def maxpool2d_backward(indices: np.ndarray, upstream: np.ndarray,
     oh, ow = upstream.shape[-3:-1]
     d_x = np.zeros(input_shape, dtype=upstream.dtype)
     for k, window in enumerate(_windows(d_x, oh, ow)):
-        window[...] = np.where(indices == k, upstream, 0)
+        window[...] = T.gate(indices == k, upstream)
     return d_x
 
 

@@ -41,7 +41,15 @@ def relu_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     ReLU's output, which are positive at the same places."""
     if x.shape != upstream.shape:
         raise ShapeError(f"relu_backward shape mismatch: {x.shape} vs {upstream.shape}")
-    return np.where(x > 0, upstream, 0)
+    return gate(x > 0, upstream)
+
+
+def gate(keep: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """np.where(keep, x, 0), bit for bit (NaN, -0.0 and inf included), as an
+    AND of x's unsigned words with a 0 / all-ones mask: no per-element branch."""
+    word = np.dtype(f"u{x.dtype.itemsize}")
+    mask = np.negative(keep, dtype=word)
+    return np.bitwise_and(x.view(word), mask, out=mask).view(x.dtype)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -50,6 +50,30 @@ def flat_params(model) -> dict:
     return {(li, key): p for li, ps in enumerate(model.params) for key, p in ps.items()}
 
 
+def conv_reference(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, up: np.ndarray,
+                   padding: str):
+    """Direct 3x3 stride-1 convolution of one [H, W, C] sample by nested loops:
+    (output, kernel gradient, input gradient) for upstream gradient `up`."""
+    h, w, _ = x.shape
+    kh, kw = kernels.shape[:2]
+    pad = (kh - 1) // 2 if padding == "same" else 0
+    xp = np.zeros((h + 2 * pad, w + 2 * pad, x.shape[2]))
+    xp[pad:pad + h, pad:pad + w] = x
+    oh, ow = xp.shape[0] - kh + 1, xp.shape[1] - kw + 1
+    out = np.tile(bias, (oh, ow, 1)).astype(np.float64)
+    d_kernels = np.zeros(kernels.shape)
+    d_xp = np.zeros_like(xp)
+    for y in range(oh):
+        for xx in range(ow):
+            for i in range(kh):
+                for j in range(kw):
+                    pixel = xp[y + i, xx + j]
+                    out[y, xx] += pixel @ kernels[i, j]
+                    d_kernels[i, j] += np.outer(pixel, up[y, xx])
+                    d_xp[y + i, xx + j] += kernels[i, j] @ up[y, xx]
+    return out, d_kernels, d_xp[pad:pad + h, pad:pad + w]
+
+
 def write_ppm(path: Path, arr: np.ndarray) -> None:
     h, w, _ = arr.shape
     path.write_bytes(b"P6\n%d %d\n255\n" % (w, h) + arr.astype(np.uint8).tobytes())

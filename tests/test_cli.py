@@ -202,6 +202,14 @@ class TestPredict:
         junk.write_bytes(b"this is not an image")
         assert main(["predict", str(model), str(junk)]) == 2
 
+    def test_ppm_sample_above_maxval_exit_2(self, tree, tmp_path, capsys):
+        out = tmp_path / "run"
+        model = train_fixture_model(tree, out, epochs=1)
+        bright = tmp_path / "bright.ppm"
+        bright.write_bytes(b"P6 1 1 15\n" + bytes([15, 200, 15]))
+        assert main(["predict", str(model), str(bright)]) == 2
+        assert "bright.ppm" in capsys.readouterr().err
+
     def test_short_ihdr_png_exit_2(self, tree, tmp_path, capsys):
         out = tmp_path / "run"
         model = train_fixture_model(tree, out, epochs=1)

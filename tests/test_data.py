@@ -71,6 +71,34 @@ class TestDecoding:
         assert img.shape == (2, 2, 3)
         np.testing.assert_array_equal(img.ravel(), np.arange(12))
 
+    def test_ppm_maxval_15_white_loads_as_ones(self, tmp_path):
+        (tmp_path / "w15.ppm").write_bytes(b"P6 2 1 15\n" + bytes([15] * 6))
+        np.testing.assert_array_equal(D.decode_image(tmp_path / "w15.ppm"), 255)
+        assert np.all(D.load_image(tmp_path / "w15.ppm", "cnn", cnn_size=4) == 1.0)
+
+    def test_ppm_maxval_15_rescales_every_level(self, tmp_path):
+        levels = np.arange(16, dtype=np.uint8)
+        (tmp_path / "r.ppm").write_bytes(b"P6 16 1 15\n" + np.repeat(levels, 3).tobytes())
+        img = D.decode_image(tmp_path / "r.ppm")
+        assert img.dtype == np.uint8
+        np.testing.assert_array_equal(img[0, :, 0], [(v * 255 + 7) // 15 for v in range(16)])
+        assert img[0, 0, 0] == 0 and img[0, 15, 0] == 255
+
+    def test_ppm_maxval_1_is_black_and_white(self, tmp_path):
+        (tmp_path / "bw.ppm").write_bytes(b"P6 2 1 1\n" + bytes([0, 1, 0, 1, 1, 1]))
+        np.testing.assert_array_equal(D.decode_image(tmp_path / "bw.ppm"),
+                                      [[[0, 255, 0], [255, 255, 255]]])
+
+    def test_ppm_maxval_255_bytes_unchanged(self, tmp_path):
+        raw = np.random.default_rng(6).integers(0, 256, (3, 5, 3)).astype(np.uint8)
+        write_ppm(tmp_path / "f.ppm", raw)
+        np.testing.assert_array_equal(D.decode_image(tmp_path / "f.ppm"), raw)
+
+    def test_ppm_sample_above_maxval_rejected(self, tmp_path):
+        (tmp_path / "hi.ppm").write_bytes(b"P6 2 1 15\n" + bytes([15, 15, 15, 15, 16, 15]))
+        with pytest.raises(DecodeError, match="hi.ppm.*above maxval 15"):
+            D.decode_image(tmp_path / "hi.ppm")
+
     def test_truncated_ppm_rejected_with_path(self, tmp_path):
         (tmp_path / "bad.ppm").write_bytes(b"P6\n4 4\n255\nxx")
         with pytest.raises(DecodeError, match="bad.ppm"):

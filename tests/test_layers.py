@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import assert_grads_close, fd_grads
+from helpers import assert_grads_close, conv_reference, fd_grads
 from leafnet import layers as L
 from leafnet import tensor as T
 from leafnet.errors import ConfigError, NumericError, ShapeError
@@ -487,6 +487,33 @@ class TestBatchedEquivalence:
         for key in ("kernels", "bias"):
             np.testing.assert_allclose(g[key], sum(s[key] for s in singles),
                                        rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("need_input", [True, False])
+    def test_conv_output_row_bands(self, monkeypatch, padding, need_input):
+        """ROWS below one sample's rows: each sample is its own chunk, cut into
+        bands of 2 output rows with a short last band (7 = 2+2+2+1 rows same,
+        5 = 2+2+1 valid). Equal to the nested-loop reference."""
+        rng = np.random.default_rng(37)
+        x = rng.standard_normal((3, 7, 6, 3))
+        params = {"kernels": rng.standard_normal((3, 3, 3, 4)), "bias": rng.standard_normal(4)}
+        oh, ow = L.conv_output_hw(7, 6, 3, 3, padding)
+        wp = 8 if padding == "same" else 6
+        monkeypatch.setattr(L, "ROWS", 2 * wp)
+        assert L._chunks(oh, wp)[-1][1] == 1 and len(L._chunks(oh, wp)) >= 3
+        up = rng.standard_normal((3, oh, ow, 4))
+        refs = [conv_reference(x[k], params["kernels"], params["bias"], up[k], padding)
+                for k in range(3)]
+        np.testing.assert_allclose(L.conv2d_forward(x, params, padding),
+                                   np.stack([r[0] for r in refs]), rtol=1e-12, atol=1e-12)
+        g = L.conv2d_backward(x, params, up, padding, need_input=need_input)
+        np.testing.assert_allclose(g["kernels"], sum(r[1] for r in refs), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(g["bias"], up.sum(axis=(0, 1, 2)), rtol=1e-12, atol=1e-12)
+        if need_input:
+            np.testing.assert_allclose(g["input"], np.stack([r[2] for r in refs]),
+                                       rtol=1e-12, atol=1e-12)
+        else:
+            assert "input" not in g
 
     def test_maxpool(self):
         rng = np.random.default_rng(31)

@@ -65,6 +65,64 @@ class TestRelu:
             T.relu_backward(np.zeros(2), np.zeros(3))
 
 
+def _specials(dtype) -> np.ndarray:
+    fi = np.finfo(dtype)
+    neg_nan = np.copysign(np.array(np.nan, dtype), -1)
+    return np.array([np.nan, neg_nan, 0.0, -0.0, np.inf, -np.inf, fi.smallest_subnormal,
+                     -fi.smallest_subnormal, fi.max, fi.min, fi.tiny, 1.5, -2.25], dtype=dtype)
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> None:
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+class TestGate:
+    """T.gate is np.where(keep, x, 0) byte for byte."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_special_values_every_mask(self, dtype):
+        x = _specials(dtype)
+        for bits in range(0, 1 << 4):
+            keep = np.resize([(bits >> k) & 1 == 1 for k in range(4)], x.shape)
+            _same_bytes(T.gate(keep, x), np.where(keep, x, 0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_masks_with_specials(self, dtype, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((4, 6, 5, 3)).astype(dtype)
+        x.flat[rng.choice(x.size, 40, replace=False)] = np.resize(_specials(dtype), 40)
+        keep = rng.random(x.shape) < 0.5
+        _same_bytes(T.gate(keep, x), np.where(keep, x, 0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("fill", [True, False])
+    def test_constant_masks(self, dtype, fill):
+        x = np.resize(_specials(dtype), (7, 5))
+        keep = np.full(x.shape, fill)
+        _same_bytes(T.gate(keep, x), np.where(keep, x, 0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_non_contiguous_input(self, dtype):
+        rng = np.random.default_rng(3)
+        base = rng.standard_normal((6, 8, 4)).astype(dtype)
+        base[0, 0, :] = _specials(dtype)[:4]
+        before = base.copy()
+        x = base[::2, ::-1].transpose(2, 0, 1)
+        assert not x.flags.c_contiguous and not x.flags.f_contiguous
+        keep = rng.random(x.shape) < 0.5
+        _same_bytes(T.gate(keep, x), np.where(keep, x, 0))
+        _same_bytes(base, before)  # the input is left as it was
+
+    def test_relu_backward_matches_where(self):
+        rng = np.random.default_rng(4)
+        for dtype in (np.float32, np.float64):
+            x = np.resize(_specials(dtype), (5, 13)) * rng.choice([-1, 1], (5, 13)).astype(dtype)
+            up = np.resize(_specials(dtype)[::-1], x.shape)
+            _same_bytes(T.relu_backward(x, up), np.where(x > 0, up, 0))
+
+
 class TestSoftmax:
     def test_equal_logits_uniform(self):
         out = T.softmax(np.zeros(38, dtype=np.float32))
