@@ -451,24 +451,38 @@ def _manifest(model: M.SequentialModel) -> dict:
 
 
 def save_model(model: M.SequentialModel, path: str | Path) -> None:
-    """Write atomically: a failed save leaves no partial file behind.
+    """Write atomically: a failed save leaves no partial file behind, and
+    the old file, if any, in place.
 
     Parameters stream from their own buffers into the file, so a save
     allocates no file-sized blob and its time does not depend on what the
-    allocator holds."""
+    allocator holds. An existing file is renamed aside before the new one
+    takes its name, and removed after: renaming over it would make ext4
+    (its auto_da_alloc heuristic) write the whole new file to disk inside
+    the rename, so the save's time would follow the disk's queue. Nothing
+    here forces the data to disk (no fsync): a saved file is lost only if
+    the machine fails before the kernel writes it out."""
     path = Path(path)
     manifest = json.dumps(_manifest(model)).encode("utf-8")
-    tmp = path.with_name(path.name + ".tmp")
+    tmp, old = path.with_name(path.name + ".tmp"), path.with_name(path.name + ".old")
+    moved = False
     try:
         with open(tmp, "wb") as f:
             f.write(MAGIC + struct.pack("<II", FORMAT_VERSION, len(manifest)) + manifest)
             for params in model.params:
                 for p in params.values():
                     f.write(np.ascontiguousarray(p, dtype="<f4").data)
+        if path.is_file():
+            os.replace(path, old)
+            moved = True
         os.replace(tmp, path)
     except BaseException:
+        if moved:
+            os.replace(old, path)
         tmp.unlink(missing_ok=True)
         raise
+    if moved:
+        old.unlink()
 
 
 _ARCHS = {"cnn": (M.CnnConfig, M.cnn_spec), "lstm": (M.LstmConfig, M.lstm_spec)}

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -377,6 +379,50 @@ class TestModelFile:
         with pytest.raises(ValueError):
             D.save_model(model, tmp_path / "m.leaf")
         assert not list(tmp_path.iterdir())
+
+    def test_save_over_existing_file(self, tmp_path):
+        first, second = self.small_model(), self.small_model()
+        second.params[0]["bias"] = second.params[0]["bias"] + 1
+        D.save_model(first, tmp_path / "m.leaf")
+        D.save_model(second, tmp_path / "m.leaf")
+        assert [p.name for p in tmp_path.iterdir()] == ["m.leaf"]
+        loaded = D.load_model(tmp_path / "m.leaf")
+        assert np.array_equal(loaded.params[0]["bias"], second.params[0]["bias"])
+
+    def test_failed_save_keeps_existing_file(self, tmp_path):
+        model = self.small_model()
+        D.save_model(model, tmp_path / "m.leaf")
+        before = (tmp_path / "m.leaf").read_bytes()
+        model.params[-1]["bias"] = np.array(["not a number"], dtype=object)
+        with pytest.raises(ValueError):
+            D.save_model(model, tmp_path / "m.leaf")
+        assert [p.name for p in tmp_path.iterdir()] == ["m.leaf"]
+        assert (tmp_path / "m.leaf").read_bytes() == before
+
+    def test_save_onto_directory_fails_and_keeps_it(self, tmp_path):
+        (tmp_path / "m.leaf").mkdir()
+        with pytest.raises(OSError):
+            D.save_model(self.small_model(), tmp_path / "m.leaf")
+        assert [p.name for p in tmp_path.iterdir()] == ["m.leaf"]
+        assert (tmp_path / "m.leaf").is_dir()
+
+    def test_failed_rename_restores_existing_file(self, tmp_path, monkeypatch):
+        model = self.small_model()
+        D.save_model(model, tmp_path / "m.leaf")
+        before = (tmp_path / "m.leaf").read_bytes()
+        replace = os.replace
+
+        def failing_replace(src, dst):
+            if str(src).endswith(".tmp"):
+                raise OSError("rename failed")
+            replace(src, dst)
+
+        model.params[0]["bias"] = model.params[0]["bias"] + 1
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename failed"):
+            D.save_model(model, tmp_path / "m.leaf")
+        assert [p.name for p in tmp_path.iterdir()] == ["m.leaf"]
+        assert (tmp_path / "m.leaf").read_bytes() == before
 
     def test_wire_format_layout(self, tmp_path):
         import json
