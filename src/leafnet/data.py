@@ -19,7 +19,10 @@ LSTM inputs resize then reshape row-major into [timesteps, features].
 Model files: magic b"LEAF", u32-LE version, u32-LE manifest length, UTF-8
 JSON manifest (architecture config, label map, layer/parameter order, gate
 order), then raw little-endian float32 parameter blobs in manifest order.
-Round trips are bit-exact.
+Round trips are bit-exact. A load checks the declared parameter sizes
+against the file's size before it allocates anything, then reads the
+parameter bytes once into one float32 array that every loaded parameter
+is a view of.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import struct
 import sys
 import warnings
@@ -525,20 +529,61 @@ def _rebuild(arch, config, where: str) -> M.ModelSpec:
 
 
 def load_model(path: str | Path) -> M.SequentialModel:
+    """Read a model file written by save_model, refusing any file that does
+    not match its manifest with ModelFormatError.
+
+    The header and manifest are read and checked first. The parameter sizes
+    the manifest declares are then checked against the file's size, with
+    exact integers, before anything is allocated. The parameter bytes are
+    read once, straight into one float32 array, and each parameter is a
+    reshaped, writable view of that array."""
     path = Path(path)
-    data = path.read_bytes()
-    if data[:4] != MAGIC:
-        raise ModelFormatError(f"{path}: bad magic at offset 0")
-    if len(data) < 12:
-        raise ModelFormatError(f"{path}: truncated header at offset {len(data)}")
-    version, = struct.unpack("<I", data[4:8])
-    if version != FORMAT_VERSION:
-        raise ModelFormatError(f"{path}: unsupported version {version}")
-    mlen, = struct.unpack("<I", data[8:12])
-    if len(data) < 12 + mlen:
-        raise ModelFormatError(f"{path}: manifest truncated at offset {len(data)}")
+    with open(path, "rb") as f:
+        st = os.fstat(f.fileno())
+        if not stat.S_ISREG(st.st_mode):
+            raise ModelFormatError(f"{path}: not a regular file")
+        size = st.st_size
+        head = f.read(12)
+        if head[:4] != MAGIC:
+            raise ModelFormatError(f"{path}: bad magic at offset 0")
+        if len(head) < 12:
+            raise ModelFormatError(f"{path}: truncated header at offset {len(head)}")
+        version, mlen = struct.unpack("<II", head[4:])
+        if version != FORMAT_VERSION:
+            raise ModelFormatError(f"{path}: unsupported version {version}")
+        if 12 + mlen > size:
+            raise ModelFormatError(f"{path}: manifest truncated at offset {size}")
+        spec, label_map = _checked_manifest(path, f.read(mlen))
+        shapes = [M.param_shapes(layer) for layer in spec.layers]
+        counts = [math.prod(shape) for layer_shapes in shapes for shape in layer_shapes.values()]
+        offset = 12 + mlen
+        for count in counts:
+            if offset + 4 * count > size:
+                raise ModelFormatError(f"{path}: parameter blob truncated at offset {offset}")
+            offset += 4 * count
+        if offset != size:
+            raise ModelFormatError(f"{path}: {size - offset} trailing bytes at offset {offset}")
+        flat = np.empty(sum(counts), dtype="<f4")
+        if f.readinto(flat.data) != flat.nbytes or f.read(1):
+            raise ModelFormatError(f"{path}: file changed size while it was read")
+    flat = flat.astype(np.float32, copy=False)  # a copy only on big-endian hosts
+    params: list[dict[str, np.ndarray]] = []
+    offset = 0
+    for layer_shapes in shapes:
+        layer_params = {}
+        for key, shape in layer_shapes.items():
+            count = math.prod(shape)
+            layer_params[key] = flat[offset:offset + count].reshape(shape)
+            offset += count
+        params.append(layer_params)
+    return M.SequentialModel(spec, params, list(label_map))
+
+
+def _checked_manifest(path: Path, text: bytes) -> tuple[M.ModelSpec, list]:
+    """The spec and label map a manifest declares, after checking that its
+    layers and parameter shapes match the architecture it names."""
     try:
-        manifest = json.loads(data[12:12 + mlen].decode("utf-8"))
+        manifest = json.loads(text.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"{path}: manifest unreadable: {exc}") from exc
     if not isinstance(manifest, dict):
@@ -559,8 +604,6 @@ def load_model(path: str | Path) -> M.SequentialModel:
     if len(declared) != len(spec.layers):
         raise ModelFormatError(f"{path}: manifest declares {len(declared)} layers, "
                                f"architecture has {len(spec.layers)}")
-    offset = 12 + mlen
-    params: list[dict[str, np.ndarray]] = []
     for i, (layer, entry) in enumerate(zip(spec.layers, declared)):
         entry_where = f"{where} layer {i}"
         name = _field(entry, "name", str, entry_where)
@@ -574,20 +617,9 @@ def load_model(path: str | Path) -> M.SequentialModel:
             raise ModelFormatError(
                 f"{path}: layer {layer.name} declares parameters {keys}, expected "
                 f"{list(expected)}")
-        layer_params = {}
         for key, decl in zip(keys, decls):
             shape = tuple(_field(decl, "shape", list, entry_where))
             if shape != expected[key]:
                 raise ModelFormatError(
                     f"{path}: parameter {layer.name}.{key} shape {shape} unexpected")
-            count = int(np.prod(expected[key]))
-            if offset + 4 * count > len(data):
-                raise ModelFormatError(f"{path}: parameter blob truncated at offset {offset}")
-            layer_params[key] = np.frombuffer(
-                data, dtype="<f4", count=count, offset=offset
-            ).reshape(expected[key]).astype(np.float32)
-            offset += 4 * count
-        params.append(layer_params)
-    if offset != len(data):
-        raise ModelFormatError(f"{path}: {len(data) - offset} trailing bytes at offset {offset}")
-    return M.SequentialModel(spec, params, list(label_map))
+    return spec, label_map

@@ -10,6 +10,7 @@ sequences into a 128-unit ReLU dense layer and the same softmax head
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple
 
@@ -126,7 +127,7 @@ def cnn_spec(cfg: CnnConfig) -> ModelSpec:
         shape = add(LayerSpec("maxpool", layer_name, shape, (h // 2, w // 2, c)))
 
     shape = add(LayerSpec("dropout", name("dropout"), shape, shape, rate=cfg.conv_dropout))
-    shape = add(LayerSpec("flatten", name("flatten"), shape, (int(np.prod(shape)),)))
+    shape = add(LayerSpec("flatten", name("flatten"), shape, (math.prod(shape),)))
     shape = add(LayerSpec("dense", name("dense"), shape, (cfg.dense_units,),
                           activation="relu"))
     shape = add(LayerSpec("dropout", name("dropout"), shape, shape, rate=cfg.dense_dropout))
@@ -279,8 +280,9 @@ def _forward(model: SequentialModel, x: np.ndarray, mode: str,
              rng: np.random.Generator | None, keep_caches: bool = False
              ) -> tuple[np.ndarray, list | None]:
     """Layer-by-layer forward over one sample or a stacked batch, each
-    layer's activation applied after it. With `keep_caches`, also returns
-    one (cache, activated output) pair per layer for backward(); ReLU's
+    layer's activation applied after it (ReLU in place: the kinds that
+    carry it return a fresh array). With `keep_caches`, also returns one
+    (cache, activated output) pair per layer for backward(); ReLU's
     gradient gate reads out > 0, which is pre > 0. Without, each layer's
     input is freed as soon as the next layer has it."""
     _check_input(model, x)
@@ -289,7 +291,7 @@ def _forward(model: SequentialModel, x: np.ndarray, mode: str,
     for spec, params in zip(model.spec.layers, model.params):
         out, cache = _KINDS[spec.kind].forward(spec, params, out, mode, rng)
         if spec.activation == "relu":
-            out = T.relu(out)
+            out = T.relu(out, out=out)
         elif spec.activation == "softmax":
             out = T.softmax(out)
         if keep_caches:
@@ -322,14 +324,18 @@ def backward(model: SequentialModel, caches: list, d_logits: np.ndarray,
     cross-entropy), so the last activation is not re-differentiated here.
     With `grads` (one dict per layer), each layer's gradients are added into
     it in place as soon as they exist, so no second full gradient set is
-    built. The first layer's input gradient is never computed.
+    built. The first layer's input gradient is never computed. Backward
+    consumes `caches`: each layer's entry is set to None as its backward
+    starts, so the activations are freed as the pass goes.
     """
     grads = [dict() for _ in model.params] if grads is None else grads
     d_out = d_logits
     for li in range(len(model.spec.layers) - 1, -1, -1):
         spec, params, (cache, out) = model.spec.layers[li], model.params[li], caches[li]
+        caches[li] = None
         if spec.activation == "relu":
             d_out = T.relu_backward(out, d_out)
+        del out
         g = _KINDS[spec.kind].backward(spec, params, cache, d_out, li > 0)
         d_out = g.pop("input", None)
         for key, gk in g.items():
@@ -337,6 +343,7 @@ def backward(model: SequentialModel, caches: list, d_logits: np.ndarray,
                 grads[li][key] += gk
             else:
                 grads[li][key] = gk
+        g = gk = None  # not kept alive through the next layer's backward
     return grads
 
 

@@ -32,8 +32,9 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """max(x, 0); with `out=x` it runs in place."""
+    return np.maximum(x, 0, out=out)
 
 
 def relu_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 import zlib
 from pathlib import Path
 
 import numpy as np
+
+from leafnet import models as M
 
 
 def fd_grads(loss_fn, params: dict, eps: float = 1e-5) -> dict:
@@ -204,8 +207,31 @@ def _without(d: dict, key: str) -> dict:
     return {k: v for k, v in d.items() if k != key}
 
 
+def declaring(arch: str, **changes):
+    """Manifest mutator: declare `arch` with `changes` applied to a config
+    (the file's own if it has that arch, else the defaults with its class
+    count), and the layers and parameter shapes a saver would write for it.
+    The parameter bytes stay those of the original file."""
+    config_cls, spec_of = {"cnn": (M.CnnConfig, M.cnn_spec),
+                           "lstm": (M.LstmConfig, M.lstm_spec)}[arch]
+
+    def mutate(m: dict) -> dict:
+        own = m["config"] if m["arch"] == arch else {"classes": m["config"]["classes"]}
+        config = {key: tuple(v) if isinstance(v, list) else v
+                  for key, v in {**own, **changes}.items()}
+        spec = spec_of(config_cls(**config))
+        return {**m, "arch": arch, "config": dataclasses.asdict(spec.config),
+                "layers": [{"name": layer.name,
+                            "params": [{"name": key, "shape": list(shape)}
+                                       for key, shape in M.param_shapes(layer).items()]}
+                           for layer in spec.layers]}
+    return mutate
+
+
 # Malformed manifests load_model must reject with ModelFormatError:
 # case name -> manifest dict -> rewritten manifest (any JSON value).
+# The two oversized cases declare consistent shapes whose element counts
+# overflow int64 (2**62 dense units; an LSTM with 4 * 2**62 gate columns).
 MALFORMED_MANIFESTS = {
     "missing-arch": lambda m: _without(m, "arch"),
     "unknown-config-key": lambda m: {**m, "config": {**m["config"], "bogus": 1}},
@@ -217,6 +243,8 @@ MALFORMED_MANIFESTS = {
     "label-map-length": lambda m: {**m, "label_map": m["label_map"][:-1]},
     "other-gate-order": lambda m: {**m, "gate_order": "fiog"},
     "missing-gate-order": lambda m: _without(m, "gate_order"),
+    "dense-units-2**62": declaring("cnn", dense_units=2 ** 62),
+    "lstm-hidden-2**62": declaring("lstm", hidden=2 ** 62),
 }
 
 

@@ -1,3 +1,4 @@
+import os
 import shutil
 import subprocess
 
@@ -217,6 +218,18 @@ class TestPredict:
         write_png(short, np.zeros((4, 4, 3), np.uint8), ihdr=SHORT_IHDR)
         assert main(["predict", str(model), str(short)]) == 2
         assert "short.png" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_fifo_model_exit_2(self, tree, tmp_path, capsys):
+        fifo = tmp_path / "pipe.leaf"
+        os.mkfifo(fifo)
+        writer = os.open(fifo, os.O_RDWR | os.O_NONBLOCK)  # so the read end opens (Linux)
+        try:
+            image = next((tree / "valid" / "healthy").iterdir())
+            assert main(["predict", str(fifo), str(image)]) == 2
+        finally:
+            os.close(writer)
+        assert "pipe.leaf: not a regular file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
     def test_malformed_manifest_exit_2(self, tree, tmp_path, capsys, case):

@@ -1,13 +1,15 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import (MALFORMED_MANIFESTS, SHORT_IHDR, make_dataset_tree,
+from helpers import (MALFORMED_MANIFESTS, SHORT_IHDR, declaring, make_dataset_tree,
                      rewrite_manifest, write_png, write_ppm)
 from leafnet import data as D
 from leafnet import layers as L
 from leafnet import models as M
+from leafnet import training as TR
 from leafnet.errors import (ConfigError, DatasetError, DecodeError,
                             ModelFormatError)
 
@@ -356,6 +358,60 @@ class TestModelFile:
         rewrite_manifest(tmp_path / "m.leaf", tmp_path / "bad.leaf", MALFORMED_MANIFESTS[case])
         with pytest.raises(ModelFormatError, match="bad.leaf"):
             D.load_model(tmp_path / "bad.leaf")
+
+    @pytest.mark.parametrize("change", [lambda b: b[:-1], lambda b: b + b"\0"],
+                             ids=["one-byte-short", "one-byte-long"])
+    def test_one_byte_off_rejected(self, tmp_path, change):
+        D.save_model(self.small_model(), tmp_path / "m.leaf")
+        (tmp_path / "bad.leaf").write_bytes(change((tmp_path / "m.leaf").read_bytes()))
+        with pytest.raises(ModelFormatError, match="offset"):
+            D.load_model(tmp_path / "bad.leaf")
+
+    def test_loaded_parameters_writable_aligned_native_float32(self, tmp_path):
+        D.save_model(self.small_model(), tmp_path / "m.leaf")
+        for params in D.load_model(tmp_path / "m.leaf").params:
+            for p in params.values():
+                assert p.dtype == np.float32 and p.dtype.isnative
+                assert p.flags.writeable and p.flags.aligned and p.flags.c_contiguous
+
+    def test_adam_step_after_load_bit_identical(self, tmp_path):
+        model = self.small_model()
+        D.save_model(model, tmp_path / "m.leaf")
+        loaded = D.load_model(tmp_path / "m.leaf")
+        for m in (model, loaded):
+            rng = np.random.default_rng(3)
+            grads = [{key: rng.standard_normal(p.shape).astype(np.float32)
+                      for key, p in params.items()} for params in m.params]
+            TR.adam_step(m.params, grads, TR.AdamState.for_params(m.params, lr=0.01))
+        for a, b in zip(model.params, loaded.params):
+            for key in a:
+                assert a[key].tobytes() == b[key].tobytes()
+
+    def test_load_allocates_the_parameter_bytes_once(self, tmp_path):
+        model = M.build_cnn(M.CnnConfig(input_size=14, filters=(2, 3), dense_units=50_000,
+                                        classes=3), seed=1)
+        D.save_model(model, tmp_path / "m.leaf")
+        tracemalloc.start()
+        try:
+            D.load_model(tmp_path / "m.leaf")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * model.total_params + 2 ** 20
+
+    def test_huge_declared_model_rejected_before_allocating(self, tmp_path):
+        D.save_model(self.small_model(), tmp_path / "m.leaf")
+        # 12 flattened features -> 2**36 units -> 3 classes: about 2**40 parameters
+        rewrite_manifest(tmp_path / "m.leaf", tmp_path / "bad.leaf",
+                         declaring("cnn", dense_units=2 ** 36))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelFormatError, match="truncated"):
+                D.load_model(tmp_path / "bad.leaf")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_load_draws_no_parameters(self, tmp_path, monkeypatch):
         model = self.small_model()

@@ -231,6 +231,7 @@ def test_first_layer_input_gradient_not_computed(monkeypatch):
     model_to_f64(model)
     x = np.random.default_rng(44).standard_normal((2,) + model.spec.input_shape)
     probs, caches = M.forward_train(model, x)
+    first_input = caches[0][0]
     _, d_logits = TR.categorical_cross_entropy(probs, [1, 2])
     conv_backward, matmul = L.conv2d_backward, T.matmul
     calls = []
@@ -254,7 +255,7 @@ def test_first_layer_input_gradient_not_computed(monkeypatch):
     assert first["returned"] == {"kernels", "bias"}
     assert first["gemms"] == 3
     assert all(c["gemms"] == 12 for c in calls if c is not first)
-    full = L.conv2d_backward(caches[0][0], model.params[0], first["upstream"], "same")
+    full = L.conv2d_backward(first_input, model.params[0], first["upstream"], "same")
     assert "input" in full
     for key in ("kernels", "bias"):
         np.testing.assert_array_equal(grads[0][key], full[key])
