@@ -8,7 +8,6 @@ randomness derives from --seed.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -132,18 +131,6 @@ def _echo(command: str, **kv) -> None:
     print(f"leafnet {command}: {pairs}")
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write atomically: a failed write leaves neither a partial file nor its
-    temp file behind."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def cmd_summary(args) -> int:
     _echo("summary", arch=args.arch, classes=args.classes)
     model = _build(args, args.classes, seed=0)
@@ -168,7 +155,7 @@ def cmd_train(args) -> int:
     model, history = TR.train(model, train_set, valid_set, config)
     args.out.mkdir(parents=True, exist_ok=True)
     D.save_model(model, args.out / "model.leaf")
-    _write_text(args.out / "history.csv", TR.history_to_csv(history))
+    D.write_atomic(args.out / "history.csv", [TR.history_to_csv(history).encode("utf-8")])
     last = history[-1]
     print(f"epoch {last.epoch}: train_loss={last.train_loss:.6f} "
           f"train_acc={last.train_acc:.4f} val_loss={last.val_loss:.6f} "
@@ -197,8 +184,8 @@ def cmd_eval(args) -> int:
     cm = MET.confusion_matrix(preds, labels, model.label_map)
     report = MET.class_report(cm)
     args.out.mkdir(parents=True, exist_ok=True)
-    _write_text(args.out / "report.txt", MET.format_report(report))
-    _write_text(args.out / "confusion.csv", MET.cm_to_csv(cm))
+    D.write_atomic(args.out / "report.txt", [MET.format_report(report).encode("utf-8")])
+    D.write_atomic(args.out / "confusion.csv", [MET.cm_to_csv(cm).encode("utf-8")])
     print(f"accuracy: {report.accuracy:.4f} (n={report.total_support})")
     return 0
 

@@ -9,12 +9,15 @@ Class ids are assigned by sorting class names in byte order, so the same
 tree gives the same label map on any machine.
 
 PPM (P6) and 8-bit PNG decode natively; JPEG needs pillow (optional extra).
-The PNG decoder checks every chunk's CRC-32 and inflates no more than the
-header's height * (stride + 1) bytes (plus one, to detect longer data).
-Rows filtered only with None, Sub or Up are unfiltered row by row; any
-Average or Paeth row sends the image through an anti-diagonal wavefront.
-Pixel values are scaled to [0, 1]; CNN inputs resize to a square RGB image,
-LSTM inputs resize then reshape row-major into [timesteps, features].
+A PPM or PNG header declaring more than MAX_PIXELS pixels is refused before
+any image data is inflated or copied. The PNG decoder checks every chunk's
+CRC-32 and inflates no more than the header's height * (stride + 1) bytes
+(plus one, to detect longer data). Rows filtered only with None, Sub or Up
+are unfiltered row by row; any Average or Paeth row sends the image through
+an anti-diagonal wavefront. Pixel values are scaled to [0, 1]; CNN inputs
+resize to a square RGB image, LSTM inputs resize then reshape row-major into
+[timesteps, features]. The resize reads only the source samples it
+interpolates, so it costs what its output costs.
 
 Model files: magic b"LEAF", u32-LE version, u32-LE manifest length, UTF-8
 JSON manifest (architecture config, label map, layer/parameter order, gate
@@ -28,17 +31,17 @@ is a view of.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
 import stat
 import struct
-import sys
 import warnings
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,6 +51,12 @@ from .errors import ConfigError, DatasetError, DecodeError, ModelFormatError
 
 IMAGE_EXTENSIONS = {".jpg", ".jpeg", ".png", ".ppm"}
 SPLITS = ("train", "valid")
+
+# The largest image decoded, in pixels: 2**25 is about 5792 x 5792, above a
+# 24-megapixel camera frame. A header declaring more is a DecodeError, raised
+# before any image data is inflated or copied, so a small file cannot ask
+# for a large allocation.
+MAX_PIXELS = 2 ** 25
 
 MAGIC = b"LEAF"
 FORMAT_VERSION = 1
@@ -107,6 +116,14 @@ def scan_dataset(root: str | Path) -> DatasetIndex:
 # ---------------------------------------------------------------------------
 # decoding
 
+def _check_size(width: int, height: int, kind: str, path: Path) -> None:
+    if width < 1 or height < 1:
+        raise DecodeError(f"{path}: {kind} size {width}x{height} has no pixels")
+    if width * height > MAX_PIXELS:
+        raise DecodeError(f"{path}: {kind} size {width}x{height} is too large to decode "
+                          f"(over {MAX_PIXELS} pixels)")
+
+
 def _decode_ppm(data: bytes, path: Path) -> np.ndarray:
     """Binary PPM (P6), maxval <= 255; samples are rescaled to 0..255."""
     pos = 0
@@ -136,13 +153,12 @@ def _decode_ppm(data: bytes, path: Path) -> np.ndarray:
         raise DecodeError(f"{path}: bad PPM header") from exc
     if maxval > 255 or maxval < 1:
         raise DecodeError(f"{path}: unsupported PPM maxval {maxval}")
-    if width < 1 or height < 1:
-        raise DecodeError(f"{path}: PPM size {width}x{height} has no pixels")
+    _check_size(width, height, "PPM", path)
     pos += 1  # single whitespace after maxval
-    pixels = data[pos:pos + width * height * 3]
-    if len(pixels) != width * height * 3:
+    if len(data) - pos < width * height * 3:
         raise DecodeError(f"{path}: PPM pixel data truncated")
-    samples = np.frombuffer(pixels, dtype=np.uint8).reshape(height, width, 3)
+    samples = np.frombuffer(data, dtype=np.uint8, count=width * height * 3,
+                            offset=pos).reshape(height, width, 3)
     if maxval == 255:
         return samples
     if samples.max() > maxval:
@@ -171,8 +187,7 @@ def _decode_png(data: bytes, path: Path) -> np.ndarray:
             if length != 13:
                 raise DecodeError(f"{path}: PNG IHDR chunk has {length} bytes, not 13")
             width, height, depth, color, _, _, interlace = struct.unpack(">IIBBBBB", chunk)
-            if width == 0 or height == 0:
-                raise DecodeError(f"{path}: PNG size {width}x{height} has no pixels")
+            _check_size(width, height, "PNG", path)
             if depth != 8 or interlace != 0:
                 raise DecodeError(f"{path}: only 8-bit non-interlaced PNG supported")
             channels = {0: 1, 2: 3, 4: 2, 6: 4}.get(color)
@@ -187,8 +202,6 @@ def _decode_png(data: bytes, path: Path) -> np.ndarray:
     # Inflate at most the declared size, plus one byte to tell a longer
     # stream apart, so a small file cannot expand into a large allocation.
     size = height * (width * channels + 1)
-    if size > sys.maxsize:
-        raise DecodeError(f"{path}: PNG size {width}x{height} is too large to decode")
     inflate = zlib.decompressobj()
     try:
         raw = inflate.decompress(idat, size)
@@ -242,7 +255,12 @@ def _unfilter_wavefront(lines: np.ndarray, filters: np.ndarray) -> np.ndarray:
     copied into a skewed uint8 array, `skew[d + 2, i + 1]`, where i runs
     along the shorter image side; each diagonal is then one contiguous slice
     and reads its neighbours from the two slices before it. The zero rows
-    and column in front of the data are the out-of-image neighbours."""
+    and column in front of the data are the out-of-image neighbours.
+
+    Each diagonal adds to itself, in place and mod 256, the predictor of
+    each filter type its rows use, and only of those: counts of the row
+    types up to each row tell which occur. A type that covers the whole
+    diagonal is added as it is; otherwise it is masked to its own rows."""
     height, width, channels = lines.shape
     short, long = min(height, width), max(height, width)
     skew = np.zeros((height + width + 1, short + 1, channels), dtype=np.uint8)
@@ -252,22 +270,70 @@ def _unfilter_wavefront(lines: np.ndarray, filters: np.ndarray) -> np.ndarray:
         skew[2:, 1:], shape=lines.shape, strides=steps + (skew.strides[2],),
         writeable=True)
     pixels[...] = lines
+    is_type = filters == np.arange(5)[:, None]      # [type, y]
+    # keep[k, y]: every byte of row y is 0xFF if the row uses type k, else 0
+    keep = np.repeat(is_type[:, :, None], channels, axis=2).astype(np.uint8) * 255
+    # seen[y][k]: how many of rows 0 .. y-1 use type k
+    seen = np.zeros((height + 1, 5), dtype=np.intp)
+    np.cumsum(is_type.T, axis=0, out=seen[1:])
+    seen = seen.tolist()
+    scratch = np.empty((2, short, channels), dtype=np.uint8)
+    wide = np.empty((3, short, channels), dtype=np.int16)
+    flags = np.empty((2, short, channels), dtype=bool)
     for d in range(height + width - 1):
         lo, hi = max(0, d - long + 1), min(short - 1, d)
-        same = skew[d + 1, lo + 1:hi + 2].astype(np.int16)
-        before = skew[d + 1, lo:hi + 1].astype(np.int16)
-        c = skew[d, lo:hi + 1].astype(np.int16)
+        n = hi - lo + 1
+        same, before = skew[d + 1, lo + 1:hi + 2], skew[d + 1, lo:hi + 1]
         if height <= width:     # i is y: same i is the left pixel
-            a, b, row_types = same, before, filters[lo:hi + 1]
-        else:                   # i is x: same i is the pixel above
-            a, b, row_types = before, same, filters[d - hi:d - lo + 1][::-1]
-        # Paeth distances |p - a|, |p - b|, |p - c| for p = a + b - c
-        pa, pb = np.abs(b - c), np.abs(a - c)
-        pc = np.abs(a + b - 2 * c)
-        paeth = np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
-        pred = np.choose(row_types[:, None], (0, a, b, (a + b) >> 1, paeth))
-        skew[d + 2, lo + 1:hi + 2] += pred.astype(np.uint8)
+            a, b, first = same, before, lo
+        else:                   # i is x: same i is the pixel above, and y = d - i
+            a, b, first = before, same, d - hi
+        c, cur = skew[d, lo:hi + 1], skew[d + 2, lo + 1:hi + 2]
+        pred_buf, spare = scratch[:, :n]
+        counts = [end - start for end, start in zip(seen[first + n], seen[first])]
+        for kind in range(1, 5):
+            if not counts[kind]:
+                continue
+            if kind == 1:
+                pred = a
+            elif kind == 2:
+                pred = b
+            elif kind == 3:     # floor((a + b) / 2) = (a & b) + ((a ^ b) >> 1)
+                pred = np.bitwise_and(a, b, out=pred_buf)
+                np.bitwise_xor(a, b, out=spare)
+                np.right_shift(spare, 1, out=spare)
+                np.add(pred, spare, out=pred)
+            else:
+                pred = _paeth(a, b, c, wide[:, :n], flags[:, :n], pred_buf)
+            if counts[kind] < n:
+                rows = keep[kind, first:first + n]
+                pred = np.bitwise_and(pred, rows if height <= width else rows[::-1],
+                                      out=spare)
+            np.add(cur, pred, out=cur)
     return pixels.copy()
+
+
+def _paeth(a: np.ndarray, b: np.ndarray, c: np.ndarray, wide: np.ndarray,
+           flags: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The Paeth predictor of uint8 neighbours a (left), b (up) and c
+    (up-left), written to `out` through the int16 and bool scratch `wide`
+    and `flags`: for p = a + b - c, a if |p - a| is the least distance,
+    else b if |p - b| <= |p - c|, else c."""
+    pa, pb, pc = wide
+    np.subtract(b, c, dtype=np.int16, out=pa)   # p - a
+    np.subtract(a, c, dtype=np.int16, out=pb)   # p - b
+    np.add(pa, pb, out=pc)                      # p - c
+    np.abs(pa, out=pa)
+    np.abs(pb, out=pb)
+    np.abs(pc, out=pc)
+    take_b, take_a = flags
+    np.less_equal(pb, pc, out=take_b)
+    np.minimum(pb, pc, out=pc)
+    np.less_equal(pa, pc, out=take_a)
+    np.copyto(out, c)
+    np.copyto(out, b, where=take_b)
+    np.copyto(out, a, where=take_a)
+    return out
 
 
 def _decode_jpeg(path: Path) -> np.ndarray:
@@ -300,23 +366,29 @@ def decode_image(path: str | Path) -> np.ndarray:
 
 
 def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Half-pixel-center bilinear resample; identity when sizes match."""
+    """Half-pixel-center bilinear resample to float64; identity when sizes
+    match. Only the four source samples around each output pixel are read
+    and converted, so the cost follows the output size, not the input's."""
     h, w = img.shape[:2]
     if (h, w) == (out_h, out_w):
         return img.astype(np.float64, copy=True)
-    src = img.astype(np.float64)
     ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
     xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
     y0f, x0f = np.floor(ys), np.floor(xs)
     ty, tx = ys - y0f, xs - x0f
-    y0 = np.clip(y0f, 0, h - 1).astype(int)
-    y1 = np.clip(y0f + 1, 0, h - 1).astype(int)
+    y0 = np.clip(y0f, 0, h - 1).astype(int)[:, None] * w
+    y1 = np.clip(y0f + 1, 0, h - 1).astype(int)[:, None] * w
     x0 = np.clip(x0f, 0, w - 1).astype(int)
     x1 = np.clip(x0f + 1, 0, w - 1).astype(int)
     ty = ty[:, None, None]
     tx = tx[None, :, None]
-    top = src[y0][:, x0] * (1 - tx) + src[y0][:, x1] * tx
-    bottom = src[y1][:, x0] * (1 - tx) + src[y1][:, x1] * tx
+    samples = img.reshape(h * w, -1)   # a view for any decoded image
+
+    def at(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return np.take(samples, rows + cols, axis=0).astype(np.float64)
+
+    top = at(y0, x0) * (1 - tx) + at(y0, x1) * tx
+    bottom = at(y1, x0) * (1 - tx) + at(y1, x1) * tx
     return top * (1 - ty) + bottom * ty
 
 
@@ -454,28 +526,25 @@ def _manifest(model: M.SequentialModel) -> dict:
     }
 
 
-def save_model(model: M.SequentialModel, path: str | Path) -> None:
-    """Write atomically: a failed save leaves no partial file behind, and
-    the old file, if any, in place.
+def write_atomic(path: str | Path, blocks: Iterable) -> None:
+    """Write the bytes-like `blocks`, in order, as the file at `path`,
+    atomically: a failed write leaves no partial file behind, and the old
+    file, if any, in place.
 
-    Parameters stream from their own buffers into the file, so a save
-    allocates no file-sized blob and its time does not depend on what the
-    allocator holds. An existing file is renamed aside before the new one
-    takes its name, and removed after: renaming over it would make ext4
-    (its auto_da_alloc heuristic) write the whole new file to disk inside
-    the rename, so the save's time would follow the disk's queue. Nothing
-    here forces the data to disk (no fsync): a saved file is lost only if
-    the machine fails before the kernel writes it out."""
+    The blocks go to a temporary file beside `path`. An existing file is
+    renamed aside before the new one takes its name, and removed after:
+    renaming over it would make ext4 (its auto_da_alloc heuristic) write the
+    whole new file to disk inside the rename, so the write's time would
+    follow the disk's queue. Nothing here forces the data to disk (no
+    fsync): a written file is lost only if the machine fails before the
+    kernel writes it out."""
     path = Path(path)
-    manifest = json.dumps(_manifest(model)).encode("utf-8")
     tmp, old = path.with_name(path.name + ".tmp"), path.with_name(path.name + ".old")
     moved = False
     try:
         with open(tmp, "wb") as f:
-            f.write(MAGIC + struct.pack("<II", FORMAT_VERSION, len(manifest)) + manifest)
-            for params in model.params:
-                for p in params.values():
-                    f.write(np.ascontiguousarray(p, dtype="<f4").data)
+            for block in blocks:
+                f.write(block)
         if path.is_file():
             os.replace(path, old)
             moved = True
@@ -487,6 +556,17 @@ def save_model(model: M.SequentialModel, path: str | Path) -> None:
         raise
     if moved:
         old.unlink()
+
+
+def save_model(model: M.SequentialModel, path: str | Path) -> None:
+    """Write a model file with write_atomic. Parameters stream from their
+    own buffers into the file, so a save allocates no file-sized blob and
+    its time does not depend on what the allocator holds."""
+    manifest = json.dumps(_manifest(model)).encode("utf-8")
+    head = MAGIC + struct.pack("<II", FORMAT_VERSION, len(manifest)) + manifest
+    params = (np.ascontiguousarray(p, dtype="<f4").data
+              for layer in model.params for p in layer.values())
+    write_atomic(path, itertools.chain([head], params))
 
 
 _ARCHS = {"cnn": (M.CnnConfig, M.cnn_spec), "lstm": (M.LstmConfig, M.lstm_spec)}

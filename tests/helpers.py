@@ -77,6 +77,28 @@ def conv_reference(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, up: np.
     return out, d_kernels, d_xp[pad:pad + h, pad:pad + w]
 
 
+def reference_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Half-pixel-center bilinear resample of the whole image converted to
+    float64; the reference data.bilinear_resize must match byte for byte."""
+    h, w = img.shape[:2]
+    if (h, w) == (out_h, out_w):
+        return img.astype(np.float64, copy=True)
+    src = img.astype(np.float64)
+    ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
+    xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
+    y0f, x0f = np.floor(ys), np.floor(xs)
+    ty, tx = ys - y0f, xs - x0f
+    y0 = np.clip(y0f, 0, h - 1).astype(int)
+    y1 = np.clip(y0f + 1, 0, h - 1).astype(int)
+    x0 = np.clip(x0f, 0, w - 1).astype(int)
+    x1 = np.clip(x0f + 1, 0, w - 1).astype(int)
+    ty = ty[:, None, None]
+    tx = tx[None, :, None]
+    top = src[y0][:, x0] * (1 - tx) + src[y0][:, x1] * tx
+    bottom = src[y1][:, x0] * (1 - tx) + src[y1][:, x1] * tx
+    return top * (1 - ty) + bottom * ty
+
+
 def write_ppm(path: Path, arr: np.ndarray) -> None:
     h, w, _ = arr.shape
     path.write_bytes(b"P6\n%d %d\n255\n" % (w, h) + arr.astype(np.uint8).tobytes())

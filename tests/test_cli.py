@@ -7,7 +7,6 @@ import pytest
 
 from helpers import (MALFORMED_MANIFESTS, SHORT_IHDR, make_dataset_tree,
                      rewrite_manifest, write_png)
-from leafnet import cli
 from leafnet import data as D
 from leafnet import metrics as MET
 from leafnet import models as M
@@ -249,8 +248,25 @@ def test_failed_text_write_leaves_no_temp_file(tmp_path):
     target.mkdir()  # the temp file is written, then cannot replace a directory
     (target / "keep").write_text("x")
     with pytest.raises(OSError):
-        cli._write_text(target, "report")
+        D.write_atomic(target, [b"report"])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.txt"]
+
+
+def test_failed_text_write_keeps_old_file(tmp_path):
+    target = tmp_path / "report.txt"
+    target.write_text("old report")
+
+    def blocks():
+        yield b"new rep"
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        D.write_atomic(target, blocks())
+    assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+    assert target.read_text() == "old report"
+    D.write_atomic(target, [b"new report"])
+    assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+    assert target.read_text() == "new report"
 
 
 class TestUsage:

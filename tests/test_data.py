@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import (MALFORMED_MANIFESTS, SHORT_IHDR, declaring, make_dataset_tree,
-                     rewrite_manifest, write_png, write_ppm)
+                     reference_resize, rewrite_manifest, write_png, write_ppm)
 from leafnet import data as D
 from leafnet import layers as L
 from leafnet import models as M
@@ -177,6 +177,44 @@ class TestResize:
         expected = ((1 - ty) * ((1 - tx) * a00 + tx * a01)
                     + ty * ((1 - tx) * a10 + tx * a11))
         assert abs(out[2, 2, 0] - expected) < 1e-9
+
+    # (source [H, W, C], output H, output W): up, down, 1-pixel sides, odd
+    # and non-square sizes, the LSTM's 80x80, four-channel sources
+    CASES = [((9, 13, 3), 32, 32), ((256, 256, 3), 128, 128), ((100, 90, 3), 80, 80),
+             ((1, 1, 3), 5, 5), ((1, 7, 3), 4, 3), ((6, 1, 3), 1, 1), ((5, 5, 3), 1, 9),
+             ((37, 53, 3), 19, 41), ((3, 2, 1), 7, 5), ((31, 17, 4), 64, 9)]
+
+    @pytest.mark.parametrize("shape,out_h,out_w", CASES, ids=[
+        f"{'x'.join(map(str, shape))}-to-{h}x{w}" for shape, h, w in CASES])
+    def test_matches_float64_reference(self, shape, out_h, out_w):
+        img = np.random.default_rng(list(shape)).integers(0, 256, shape, dtype=np.uint8)
+        for src in (img, img[:, :, :3]):    # the sliced view is how RGBA decodes
+            out = D.bilinear_resize(src, out_h, out_w)
+            ref = reference_resize(src, out_h, out_w)
+            assert out.dtype == np.float64 and out.shape == ref.shape
+            assert out.tobytes() == ref.tobytes()
+
+    def test_float_input_matches_float64_reference(self):
+        board = np.zeros((2, 2, 1), dtype=np.float32)
+        board[0, 1, 0] = board[1, 0, 0] = 255.0
+        for out in (4, 3, 1):
+            assert D.bilinear_resize(board, out, out).tobytes() == \
+                reference_resize(board, out, out).tobytes()
+
+    def test_load_image_memory_follows_output_size(self, tmp_path):
+        """A 2000x2000 PPM resizes to 128x128 without a float64 copy of the
+        whole image: the traced peak stays under 1.5x the file's size."""
+        raw = np.random.default_rng(6).integers(0, 256, (2000, 2000, 3), dtype=np.uint8)
+        write_ppm(tmp_path / "big.ppm", raw)
+        size = (tmp_path / "big.ppm").stat().st_size
+        tracemalloc.start()
+        try:
+            x = D.load_image(tmp_path / "big.ppm", "cnn", cnn_size=128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.shape == (128, 128, 3)
+        assert peak < 1.5 * size, f"load_image peaked at {peak / size:.2f}x the file size"
 
     def test_values_stay_in_range(self, tmp_path):
         rng = np.random.default_rng(4)

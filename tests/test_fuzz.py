@@ -6,6 +6,8 @@ import copy
 import json
 import os
 import struct
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from helpers import write_png, write_ppm
 from leafnet import data as D
 from leafnet import models as M
 from leafnet.cli import main
-from leafnet.errors import LeafnetError
+from leafnet.errors import DecodeError, LeafnetError
 
 
 def _truncations(blob: bytes, end: int):
@@ -160,3 +162,47 @@ def test_predict_on_corrupt_file_exit_2(files, tmp_path, capsys, kind):
     paths["model" if kind == "model" else "image"] = bad
     assert main(["predict", str(paths["model"]), str(paths["image"])]) == 2
     assert bad.name in capsys.readouterr().err
+
+
+def _declaring_size(kind: str, blob: bytes, width: int, height: int) -> bytes:
+    """A write_png or write_ppm file whose header declares width x height;
+    the PNG's IHDR CRC is recomputed, so only the size is wrong."""
+    if kind == "png":   # IHDR payload at 16..29, its CRC at 29..33
+        ihdr = struct.pack(">II", width, height) + blob[24:29]
+        return blob[:16] + ihdr + struct.pack(">I", zlib.crc32(b"IHDR" + ihdr)) + blob[33:]
+    return b"P6\n%d %d\n255\n" % (width, height) + blob.split(b"\n", 3)[3]
+
+
+HUGE = [(2 ** 31 - 1, 2 ** 31 - 1), (D.MAX_PIXELS + 1, 1), (1, D.MAX_PIXELS + 1)]
+
+
+@pytest.mark.parametrize("kind", ["png", "ppm"])
+@pytest.mark.parametrize("size", HUGE, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_huge_header_rejected_before_allocating(files, tmp_path, kind, size):
+    path = tmp_path / f"huge.{kind}"
+    path.write_bytes(_declaring_size(kind, files[kind].read_bytes(), *size))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DecodeError, match=f"huge.{kind}.*too large"):
+            D.decode_image(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"decode peaked at {peak} traced bytes"
+
+
+@pytest.mark.parametrize("kind", ["png", "ppm"])
+def test_size_at_the_cap_is_not_too_large(files, tmp_path, kind):
+    path = tmp_path / f"cap.{kind}"
+    path.write_bytes(_declaring_size(kind, files[kind].read_bytes(), D.MAX_PIXELS, 1))
+    with pytest.raises(DecodeError, match="truncated|ends early") as err:
+        D.decode_image(path)
+    assert "too large" not in str(err.value)
+
+
+@pytest.mark.parametrize("kind", ["png", "ppm"])
+def test_predict_on_huge_header_exit_2(files, tmp_path, capsys, kind):
+    bad = tmp_path / f"huge.{kind}"
+    bad.write_bytes(_declaring_size(kind, files[kind].read_bytes(), 2 ** 31 - 1, 2 ** 31 - 1))
+    assert main(["predict", str(files["model"]), str(bad)]) == 2
+    assert "too large" in capsys.readouterr().err

@@ -14,6 +14,13 @@ from leafnet import data as D
 from leafnet.errors import DecodeError
 
 SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 64), (64, 1), (3, 40), (40, 3), (9, 7)]
+MODES = ["f0", "f1", "f2", "f3", "f4", "mix1", "mix2", "mix3"]
+# Shapes with long diagonals whose length changes, for the modes that take
+# the wavefront.
+LONG_SHAPES = [(33, 70), (70, 33), (96, 96)]
+CASES = ([(shape, mode) for mode in MODES for shape in SHAPES]
+         + [(shape, mode) for mode in MODES if mode not in ("f0", "f1", "f2")
+            for shape in LONG_SHAPES])
 
 
 def _filters(mode: str, h: int) -> list[int]:
@@ -30,8 +37,8 @@ def _as_rgb(arr: np.ndarray) -> np.ndarray:
     return arr[:, :, :3]
 
 
-@pytest.mark.parametrize("mode", ["f0", "f1", "f2", "f3", "f4", "mix1", "mix2", "mix3"])
-@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("shape,mode", CASES,
+                         ids=[f"{h}x{w}-{mode}" for (h, w), mode in CASES])
 def test_unfilter_matches_reference(tmp_path, shape, mode):
     h, w = shape
     filters = _filters(mode, h)
