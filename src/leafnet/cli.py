@@ -148,12 +148,12 @@ def cmd_train(args) -> int:
     print(f"dataset: {counts['train']} train / {counts['valid']} valid / "
           f"{len(index.label_map)} classes")
     model = _build(args, len(index.label_map), seed=args.seed)
+    args.out.mkdir(parents=True, exist_ok=True)
     model.label_map = list(index.label_map)
     loader = _loader_for(model)
     train_set = D.DiskDataset(index, "train", loader)
     valid_set = D.DiskDataset(index, "valid", loader)
     model, history = TR.train(model, train_set, valid_set, config)
-    args.out.mkdir(parents=True, exist_ok=True)
     D.save_model(model, args.out / "model.leaf")
     D.write_atomic(args.out / "history.csv", [TR.history_to_csv(history).encode("utf-8")])
     last = history[-1]
@@ -177,13 +177,13 @@ def cmd_eval(args) -> int:
     dataset = D.DiskDataset(index, args.split, _loader_for(model))
     if len(dataset) == 0:
         raise LeafnetError(f"split {args.split!r} has no records")
+    args.out.mkdir(parents=True, exist_ok=True)
     preds, labels = [], []
     for probs, y in TR.predictions(model, dataset):
         preds += probs.argmax(axis=-1).tolist()
         labels += y
     cm = MET.confusion_matrix(preds, labels, model.label_map)
     report = MET.class_report(cm)
-    args.out.mkdir(parents=True, exist_ok=True)
     D.write_atomic(args.out / "report.txt", [MET.format_report(report).encode("utf-8")])
     D.write_atomic(args.out / "confusion.csv", [MET.cm_to_csv(cm).encode("utf-8")])
     print(f"accuracy: {report.accuracy:.4f} (n={report.total_support})")

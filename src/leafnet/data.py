@@ -222,13 +222,9 @@ def _decode_png(data: bytes, path: Path) -> np.ndarray:
         img = _unfilter_wavefront(lines, filters)
     else:
         img = _unfilter_rows(lines, filters)
-    if channels == 1:
-        img = np.repeat(img, 3, axis=2)
-    elif channels == 2:
-        img = np.repeat(img[:, :, :1], 3, axis=2)
-    elif channels == 4:
-        img = img[:, :, :3]
-    return img
+    if channels < 3:    # gray, or gray + alpha
+        return np.repeat(img[:, :, :1], 3, axis=2)
+    return img[:, :, :3]
 
 
 def _unfilter_rows(lines: np.ndarray, filters: np.ndarray) -> np.ndarray:
@@ -404,17 +400,16 @@ def lstm_image_size(timesteps: int, features: int) -> int:
 
 def load_image(path: str | Path, target: str = "cnn", *, cnn_size: int = 128,
                timesteps: int = 15, features: int = 1280) -> np.ndarray:
-    """Decode, resize, and scale one image for the requested model input."""
-    raw = decode_image(path)
+    """Decode, resize, and scale one image for the requested model input;
+    the target is checked before the file is read."""
     if target == "cnn":
-        resized = bilinear_resize(raw, cnn_size, cnn_size)
-        return (resized / 255.0).astype(np.float32)
-    if target == "lstm":
-        side = lstm_image_size(timesteps, features)
-        resized = bilinear_resize(raw, side, side)
-        scaled = (resized / 255.0).astype(np.float32)
-        return scaled.reshape(timesteps, features)
-    raise ConfigError(f"unknown load target {target!r}")
+        side, shape = cnn_size, (cnn_size, cnn_size, 3)
+    elif target == "lstm":
+        side, shape = lstm_image_size(timesteps, features), (timesteps, features)
+    else:
+        raise ConfigError(f"unknown load target {target!r}")
+    resized = bilinear_resize(decode_image(path), side, side)
+    return (resized / 255.0).astype(np.float32).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +462,8 @@ class DiskDataset(_Dataset):
     """Lazy folder-per-class dataset over one split of a DatasetIndex."""
 
     def __init__(self, index: DatasetIndex, split: str,
-                 loader: Callable[[Path], np.ndarray] | None = None):
-        self.loader = loader or load_image
+                 loader: Callable[[Path], np.ndarray]):
+        self.loader = loader
         self._records = index.for_split(split)
         self.labels = [r.label for r in self._records]
 

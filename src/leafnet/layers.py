@@ -50,41 +50,38 @@ GATE_ORDER = "ifgo"
 # ---------------------------------------------------------------------------
 # initialization
 
-def he_uniform(shape, fan_in: int, rng: np.random.Generator, dtype=T.DTYPE) -> np.ndarray:
+def he_uniform(shape, fan_in: int, rng: np.random.Generator) -> np.ndarray:
     limit = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+    return rng.uniform(-limit, limit, size=shape).astype(T.DTYPE)
 
 
-def glorot_uniform(shape, fan_in: int, fan_out: int, rng: np.random.Generator,
-                   dtype=T.DTYPE) -> np.ndarray:
+def glorot_uniform(shape, fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+    return rng.uniform(-limit, limit, size=shape).astype(T.DTYPE)
 
 
-def init_conv(kh: int, kw: int, cin: int, cout: int, rng: np.random.Generator,
-              dtype=T.DTYPE) -> dict[str, np.ndarray]:
+def init_conv(kh: int, kw: int, cin: int, cout: int,
+              rng: np.random.Generator) -> dict[str, np.ndarray]:
     return {
-        "kernels": he_uniform((kh, kw, cin, cout), kh * kw * cin, rng, dtype),
-        "bias": np.zeros(cout, dtype=dtype),
+        "kernels": he_uniform((kh, kw, cin, cout), kh * kw * cin, rng),
+        "bias": np.zeros(cout, dtype=T.DTYPE),
     }
 
 
-def init_dense(n_in: int, n_out: int, rng: np.random.Generator,
-               dtype=T.DTYPE) -> dict[str, np.ndarray]:
+def init_dense(n_in: int, n_out: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
     return {
-        "weights": he_uniform((n_in, n_out), n_in, rng, dtype),
-        "bias": np.zeros(n_out, dtype=dtype),
+        "weights": he_uniform((n_in, n_out), n_in, rng),
+        "bias": np.zeros(n_out, dtype=T.DTYPE),
     }
 
 
-def init_lstm(n_in: int, hidden: int, rng: np.random.Generator,
-              dtype=T.DTYPE) -> dict[str, np.ndarray]:
+def init_lstm(n_in: int, hidden: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Glorot kernels; forget-gate bias starts at 1, the rest at 0."""
-    bias = np.zeros(4 * hidden, dtype=dtype)
+    bias = np.zeros(4 * hidden, dtype=T.DTYPE)
     bias[hidden:2 * hidden] = 1.0
     return {
-        "w_input": glorot_uniform((n_in, 4 * hidden), n_in, 4 * hidden, rng, dtype),
-        "w_recurrent": glorot_uniform((hidden, 4 * hidden), hidden, 4 * hidden, rng, dtype),
+        "w_input": glorot_uniform((n_in, 4 * hidden), n_in, 4 * hidden, rng),
+        "w_recurrent": glorot_uniform((hidden, 4 * hidden), hidden, 4 * hidden, rng),
         "bias": bias,
     }
 

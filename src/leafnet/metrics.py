@@ -119,9 +119,8 @@ def class_report(cm: ConfusionMatrix) -> ClassReport:
     )
 
 
-def round_half_up(x: float, digits: int = 2) -> float:
-    scale = 10 ** digits
-    return math.floor(x * scale + 0.5) / scale
+def round_half_up(x: float) -> float:
+    return math.floor(x * 100 + 0.5) / 100
 
 
 def format_report(report: ClassReport) -> str:

@@ -299,11 +299,10 @@ def _forward(model: SequentialModel, x: np.ndarray, mode: str,
     return out, caches
 
 
-def forward(model: SequentialModel, x: np.ndarray, mode: str = "infer",
-            rng: np.random.Generator | None = None) -> np.ndarray:
+def forward(model: SequentialModel, x: np.ndarray, mode: str = "infer") -> np.ndarray:
     """Class probabilities for one sample ([K]) or a stacked batch ([N, K]);
     inference is deterministic."""
-    probs, _ = _forward(model, x, mode, rng)
+    probs, _ = _forward(model, x, mode, None)
     return probs
 
 
@@ -358,5 +357,5 @@ def predict(model: SequentialModel, x: np.ndarray) -> tuple[str, float]:
         raise ShapeError(f"predict takes one input of shape {model.spec.input_shape}, "
                          f"got {tuple(x.shape)}")
     probs = forward(model, x, mode="infer")
-    k = int(T.argmax(probs))
+    k = int(np.argmax(probs))
     return model.label_map[k], float(probs[k])

@@ -70,10 +70,3 @@ def reshape(x: np.ndarray, shape) -> np.ndarray:
     if int(np.prod(dims)) != x.size:
         raise ShapeError(f"cannot reshape {x.shape} ({x.size} elements) to {dims}")
     return np.ascontiguousarray(x).reshape(dims)
-
-
-def argmax(x: np.ndarray, axis=None):
-    """Index of the maximum; exact ties resolve to the lowest index."""
-    if axis is not None and not -x.ndim <= axis < x.ndim:
-        raise ShapeError(f"axis {axis} invalid for shape {x.shape}")
-    return np.argmax(x, axis=axis)

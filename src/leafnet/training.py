@@ -63,11 +63,10 @@ class AdamState:
     epsilon: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: list[dict[str, np.ndarray]], lr: float = 1e-4,
-                   **kwargs) -> "AdamState":
+    def for_params(cls, params: list[dict[str, np.ndarray]],
+                   lr: float = 1e-4) -> "AdamState":
         zeros = lambda ps: {k: np.zeros_like(p) for k, p in ps.items()}
-        return cls(m=[zeros(p) for p in params], v=[zeros(p) for p in params],
-                   lr=lr, **kwargs)
+        return cls(m=[zeros(p) for p in params], v=[zeros(p) for p in params], lr=lr)
 
 
 def adam_step(params: list[dict[str, np.ndarray]],

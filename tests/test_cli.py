@@ -10,6 +10,7 @@ from helpers import (MALFORMED_MANIFESTS, SHORT_IHDR, make_dataset_tree,
 from leafnet import data as D
 from leafnet import metrics as MET
 from leafnet import models as M
+from leafnet import training as TR
 from leafnet.cli import main
 
 TWO_CLASS = {"blight": (170, 110, 30), "healthy": (40, 200, 40)}
@@ -86,6 +87,21 @@ class TestTrain:
                    "--seed", "3", "--out", str(out)])
         assert rc == 0
         assert (out / "model.leaf").exists()
+
+    def test_out_naming_a_file_exit_2_before_training(self, tree, tmp_path, capsys,
+                                                       monkeypatch):
+        """An unusable --out fails before the hours of training, not after."""
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+
+        def never(*_):
+            raise AssertionError("training ran before --out was created")
+
+        monkeypatch.setattr(TR, "train", never)
+        rc = main(["train", str(tree), "--arch", "cnn", *REDUCED, "--epochs", "1",
+                   "--out", str(taken)])
+        assert rc == 2
+        assert "taken" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_divergence_exit_3(self, tree, tmp_path, capsys):
@@ -164,6 +180,39 @@ class TestEval:
         bad.write_bytes(b"LEAFgarbage")
         rc = main(["eval", str(bad), str(tree), "--out", str(tmp_path)])
         assert rc == 2
+
+    def test_out_naming_a_file_exit_2_before_predicting(self, tree, tmp_path, capsys,
+                                                         monkeypatch):
+        model = train_fixture_model(tree, tmp_path / "run", epochs=1)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+
+        def never(*_):
+            raise AssertionError("eval predicted before --out was created")
+
+        monkeypatch.setattr(TR, "predictions", never)
+        rc = main(["eval", str(model), str(tree), "--out", str(taken)])
+        assert rc == 2
+        assert "taken" in capsys.readouterr().err
+
+    def test_lstm_eval_and_predict(self, tree, tmp_path, capsys):
+        """The LSTM loader serves eval and predict as it serves train."""
+        out = tmp_path / "lrun"
+        assert main(["train", str(tree), "--arch", "lstm", "--input", "8",
+                     "--timesteps", "4", "--hidden", "8", "--dense", "8",
+                     "--epochs", "2", "--batch", "4", "--lr", "0.003",
+                     "--seed", "3", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["eval", str(out / "model.leaf"), str(tree), "--out", str(out)]) == 0
+        n_valid = D.scan_dataset(tree).counts()["valid"]
+        assert f"(n={n_valid})" in capsys.readouterr().out
+        header = (out / "confusion.csv").read_text().split("\n")[0]
+        assert header == ",".join(sorted(TWO_CLASS))
+        image = next((tree / "valid" / "healthy").iterdir())
+        assert main(["predict", str(out / "model.leaf"), str(image)]) == 0
+        name, conf = capsys.readouterr().out.strip().split("\n")[-1].split("\t")
+        assert name in TWO_CLASS
+        assert 0.0 < float(conf) <= 1.0
 
     def test_empty_split_exit_2(self, tree, tmp_path, capsys):
         out = tmp_path / "run"

@@ -151,6 +151,10 @@ class TestDecoding:
         with pytest.raises(DecodeError, match="nope.ppm"):
             D.decode_image(tmp_path / "nope.ppm")
 
+    def test_unknown_target_rejected_before_reading(self, tmp_path):
+        with pytest.raises(ConfigError, match="resnet"):
+            D.load_image(tmp_path / "nope.ppm", "resnet")
+
 
 class TestResize:
     def test_identity_when_sizes_match(self, tmp_path):
@@ -280,12 +284,12 @@ class TestBatches:
         index = self.make_index(tmp_path)
         index.records = [r for r in index.records if r.split != "valid"]
         with pytest.raises(ConfigError):
-            next(D.DiskDataset(index, "valid").batches(2, 0, 0))
+            next(D.DiskDataset(index, "valid", lambda p: p.name).batches(2, 0, 0))
         with pytest.raises(ConfigError):
             next(D.MemoryDataset([], [], []).batches(2, 0, 0))
 
     def test_batch_size_below_one_rejected(self, tmp_path):
-        for ds in (D.DiskDataset(self.make_index(tmp_path), "train"),
+        for ds in (D.DiskDataset(self.make_index(tmp_path), "train", lambda p: p.name),
                    D.MemoryDataset([np.zeros(1, np.float32)], [0], ["a"])):
             with pytest.raises(ConfigError):
                 next(ds.batches(0, 0, 0))

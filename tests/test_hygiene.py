@@ -6,6 +6,7 @@ exceptions below are public entry points the acceptance criteria call.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "leafnet"
@@ -86,3 +87,26 @@ def test_allowlist_names_exist_and_are_unused():
     for module, name in ALLOWED:
         assert name in _defined(trees[module]), f"{module}.{name} is gone"
         assert name not in _references(module, trees), f"{module}.{name} has a caller now"
+
+
+def test_numpy_is_the_only_hard_dependency():
+    """Every import is standard library, numpy or the package's own, except
+    pillow, the optional JPEG decoder, which is imported inside a function."""
+    hard = []
+    for module, tree in _trees().items():
+        in_function = {id(node) for fn in ast.walk(tree)
+                       if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                       for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                lazy_pillow = top == "PIL" and id(node) in in_function
+                if not (top in sys.stdlib_module_names or top == "numpy" or lazy_pillow):
+                    hard.append(f"{module}: {name}")
+    assert not hard, f"imports beyond the standard library and numpy: {hard}"

@@ -589,7 +589,7 @@ class TestBatchedEquivalence:
             x, up = rng.standard_normal((2, 5, 7, 2)), rng.standard_normal((2, 5, 7, 3))
             run = lambda need: L.conv2d_backward(x, params, up, "same", need_input=need)
         else:
-            params = L.init_lstm(4, 3, rng, np.float64)
+            params = {k: v.astype(np.float64) for k, v in L.init_lstm(4, 3, rng).items()}
             _, caches = L.lstm_forward(rng.standard_normal((2, 5, 4)), params, return_caches=True)
             up = rng.standard_normal((2, 3))
             run = lambda need: L.lstm_backward(caches, params, up, need_input=need)

@@ -179,17 +179,6 @@ class TestStructuralOps:
         with pytest.raises(ShapeError):
             T.reshape(np.zeros((2, 3)), (7,))
 
-    def test_argmax_basic(self):
-        assert T.argmax(f32([0.1, 0.7, 0.2])) == 1
-
-    def test_argmax_tie_lowest_index(self):
-        assert T.argmax(f32([0.5, 0.5])) == 0
-        assert T.argmax(f32([1.0, 1.0, 1.0])) == 0
-
-    def test_argmax_bad_axis(self):
-        with pytest.raises(ShapeError):
-            T.argmax(np.zeros((2, 2)), axis=5)
-
     def test_validate_shape(self):
         with pytest.raises(ShapeError):
             T.validate_shape(())
