@@ -8,6 +8,7 @@ randomness derives from --seed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -97,7 +98,7 @@ def _cnn_config(args, classes: int) -> M.CnnConfig:
 def _lstm_config(args, classes: int) -> M.LstmConfig:
     base = M.LstmConfig()
     timesteps = _given(args.timesteps, base.timesteps)
-    side = _given(args.input, D.lstm_image_size(base.timesteps, base.features))
+    side = _given(args.input, math.isqrt(base.timesteps * base.features // 3))
     values = side * side * 3
     if side < 1 or timesteps < 1 or values % timesteps:
         raise LeafnetError(
@@ -119,11 +120,7 @@ def _build(args, classes: int, seed: int) -> M.SequentialModel:
 
 
 def _loader_for(model: M.SequentialModel):
-    cfg = model.spec.config
-    if model.spec.arch == "cnn":
-        return lambda p: D.load_image(p, "cnn", cnn_size=cfg.input_size)
-    return lambda p: D.load_image(p, "lstm", timesteps=cfg.timesteps,
-                                  features=cfg.features)
+    return lambda p: D.load_image(p, model.spec.input_shape)
 
 
 def _echo(command: str, **kv) -> None:

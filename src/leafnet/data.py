@@ -14,18 +14,20 @@ any image data is inflated or copied. The PNG decoder checks every chunk's
 CRC-32 and inflates no more than the header's height * (stride + 1) bytes
 (plus one, to detect longer data). Rows filtered only with None, Sub or Up
 are unfiltered row by row; any Average or Paeth row sends the image through
-an anti-diagonal wavefront. Pixel values are scaled to [0, 1]; CNN inputs
-resize to a square RGB image, LSTM inputs resize then reshape row-major into
-[timesteps, features]. The resize reads only the source samples it
-interpolates, so it costs what its output costs.
+an anti-diagonal wavefront. load_image reads an image as a model input of
+the spec's input_shape: [S, S, 3] is an S x S RGB resize, and [T, F] is the
+square RGB resize of T * F / 3 pixels reshaped row-major. Pixel values are
+scaled to [0, 1]. The resize reads only the source samples it interpolates,
+so it costs what its output costs.
 
 Model files: magic b"LEAF", u32-LE version, u32-LE manifest length, UTF-8
 JSON manifest (architecture config, label map, layer/parameter order, gate
 order), then raw little-endian float32 parameter blobs in manifest order.
-Round trips are bit-exact. A load checks the declared parameter sizes
-against the file's size before it allocates anything, then reads the
-parameter bytes once into one float32 array that every loaded parameter
-is a view of.
+Round trips are bit-exact. A manifest loads only if it equals the one
+save_model writes for its config (`_manifest`). A load then checks the
+declared parameter total against the file's size before it allocates
+anything, and reads the parameter bytes once into one float32 array that
+every loaded parameter is a view of.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ import numpy as np
 
 from . import layers as L
 from . import models as M
-from .errors import ConfigError, DatasetError, DecodeError, ModelFormatError
+from .errors import (ConfigError, DatasetError, DecodeError, ModelFormatError,
+                     ModelStateError)
 
 IMAGE_EXTENSIONS = {".jpg", ".jpeg", ".png", ".ppm"}
 SPLITS = ("train", "valid")
@@ -388,26 +391,17 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return top * (1 - ty) + bottom * ty
 
 
-def lstm_image_size(timesteps: int, features: int) -> int:
-    """Square RGB resize whose pixel count equals timesteps * features."""
-    side = math.isqrt(timesteps * features // 3)
-    if side * side * 3 != timesteps * features:
-        raise ConfigError(
-            f"timesteps * features = {timesteps * features} is not 3 * n^2; "
-            "no square RGB resize matches")
-    return side
-
-
-def load_image(path: str | Path, target: str = "cnn", *, cnn_size: int = 128,
-               timesteps: int = 15, features: int = 1280) -> np.ndarray:
-    """Decode, resize, and scale one image for the requested model input;
-    the target is checked before the file is read."""
-    if target == "cnn":
-        side, shape = cnn_size, (cnn_size, cnn_size, 3)
-    elif target == "lstm":
-        side, shape = lstm_image_size(timesteps, features), (timesteps, features)
-    else:
-        raise ConfigError(f"unknown load target {target!r}")
+def load_image(path: str | Path, shape: Sequence[int]) -> np.ndarray:
+    """Decode, resize and scale one image to a model input of `shape`, a
+    spec's input_shape: [S, S, 3], or [T, F] read row-major from a square
+    RGB image of T * F / 3 pixels. The shape is checked before the file is
+    read."""
+    shape = tuple(shape)
+    values = math.prod(shape) if min(shape, default=0) > 0 else 0
+    side = math.isqrt(values // 3)
+    if not side or 3 * side * side != values or len(shape) != 2 and shape != (side, side, 3):
+        raise ConfigError(f"no square RGB image fills a model input of shape {shape}; "
+                          "it must be [S, S, 3], or [T, F] with T * F = 3 * S^2")
     resized = bilinear_resize(decode_image(path), side, side)
     return (resized / 255.0).astype(np.float32).reshape(shape)
 
@@ -504,19 +498,21 @@ def synth_dataset(classes: int, per_class: int, seed: int, *,
 # ---------------------------------------------------------------------------
 # model files
 
-def _manifest(model: M.SequentialModel) -> dict:
+def _manifest(spec: M.ModelSpec, label_map: Sequence[str]) -> dict:
+    """The manifest save_model writes for a model of `spec`; load_model
+    accepts only a manifest equal to it, save for how `config` is spelled."""
     return {
         "format": "leaf",
         "version": FORMAT_VERSION,
-        "arch": model.spec.arch,
-        "config": dataclasses.asdict(model.spec.config),
-        "label_map": list(model.label_map),
+        "arch": spec.arch,
+        "config": dataclasses.asdict(spec.config),
+        "label_map": list(label_map),
         "gate_order": L.GATE_ORDER,
         "layers": [
-            {"name": spec.name,
-             "params": [{"name": key, "shape": list(p.shape)}
-                        for key, p in params.items()]}
-            for spec, params in zip(model.spec.layers, model.params)
+            {"name": layer.name,
+             "params": [{"name": key, "shape": list(shape)}
+                        for key, shape in M.param_shapes(layer).items()]}
+            for layer in spec.layers
         ],
     }
 
@@ -556,8 +552,13 @@ def write_atomic(path: str | Path, blocks: Iterable) -> None:
 def save_model(model: M.SequentialModel, path: str | Path) -> None:
     """Write a model file with write_atomic. Parameters stream from their
     own buffers into the file, so a save allocates no file-sized blob and
-    its time does not depend on what the allocator holds."""
-    manifest = json.dumps(_manifest(model)).encode("utf-8")
+    its time does not depend on what the allocator holds. A model whose
+    parameters are not the ones its spec declares, in name, order or shape,
+    raises ModelStateError before anything is written."""
+    shapes = [list(M.param_shapes(layer).items()) for layer in model.spec.layers]
+    if [[(key, p.shape) for key, p in layer.items()] for layer in model.params] != shapes:
+        raise ModelStateError("model parameters differ from the parameters its spec declares")
+    manifest = json.dumps(_manifest(model.spec, model.label_map)).encode("utf-8")
     head = MAGIC + struct.pack("<II", FORMAT_VERSION, len(manifest)) + manifest
     params = (np.ascontiguousarray(p, dtype="<f4").data
               for layer in model.params for p in layer.values())
@@ -628,17 +629,20 @@ def load_model(path: str | Path) -> M.SequentialModel:
             raise ModelFormatError(f"{path}: unsupported version {version}")
         if 12 + mlen > size:
             raise ModelFormatError(f"{path}: manifest truncated at offset {size}")
-        spec, label_map = _checked_manifest(path, f.read(mlen))
+        try:
+            spec, label_map = _checked_manifest(path, f.read(mlen))
+        except RecursionError as exc:
+            raise ModelFormatError(f"{path}: manifest nested too deeply to read") from exc
         shapes = [M.param_shapes(layer) for layer in spec.layers]
-        counts = [math.prod(shape) for layer_shapes in shapes for shape in layer_shapes.values()]
-        offset = 12 + mlen
-        for count in counts:
-            if offset + 4 * count > size:
-                raise ModelFormatError(f"{path}: parameter blob truncated at offset {offset}")
-            offset += 4 * count
-        if offset != size:
-            raise ModelFormatError(f"{path}: {size - offset} trailing bytes at offset {offset}")
-        flat = np.empty(sum(counts), dtype="<f4")
+        total = sum(math.prod(shape) for layer_shapes in shapes
+                    for shape in layer_shapes.values())
+        end = 12 + mlen + 4 * total
+        if end > size:
+            raise ModelFormatError(f"{path}: parameter blob truncated at offset {size}; "
+                                   f"the manifest declares {end} bytes")
+        if end < size:
+            raise ModelFormatError(f"{path}: {size - end} trailing bytes at offset {end}")
+        flat = np.empty(total, dtype="<f4")
         if f.readinto(flat.data) != flat.nbytes or f.read(1):
             raise ModelFormatError(f"{path}: file changed size while it was read")
     flat = flat.astype(np.float32, copy=False)  # a copy only on big-endian hosts
@@ -655,8 +659,10 @@ def load_model(path: str | Path) -> M.SequentialModel:
 
 
 def _checked_manifest(path: Path, text: bytes) -> tuple[M.ModelSpec, list]:
-    """The spec and label map a manifest declares, after checking that its
-    layers and parameter shapes match the architecture it names."""
+    """The spec and label map a manifest declares, after checking that every
+    field but `config` is what save_model writes for that config (compared
+    as JSON, so 1.0 is not 1 and true is not 1; config itself is checked by
+    _rebuild)."""
     try:
         manifest = json.loads(text.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -672,29 +678,12 @@ def _checked_manifest(path: Path, text: bytes) -> tuple[M.ModelSpec, list]:
     if label_map and len(label_map) != spec.classes:
         raise ModelFormatError(f"{where}: label_map has {len(label_map)} names "
                                f"for {spec.classes} classes")
-    gate_order = _field(manifest, "gate_order", str, where)
-    if gate_order != L.GATE_ORDER:
-        raise ModelFormatError(f"{where}: gate_order {gate_order!r} is not {L.GATE_ORDER!r}")
-    declared = _field(manifest, "layers", list, where)
-    if len(declared) != len(spec.layers):
-        raise ModelFormatError(f"{path}: manifest declares {len(declared)} layers, "
-                               f"architecture has {len(spec.layers)}")
-    for i, (layer, entry) in enumerate(zip(spec.layers, declared)):
-        entry_where = f"{where} layer {i}"
-        name = _field(entry, "name", str, entry_where)
-        if name != layer.name:
-            raise ModelFormatError(
-                f"{path}: layer {name!r} does not match {layer.name!r}")
-        expected = M.param_shapes(layer)
-        decls = _field(entry, "params", list, entry_where)
-        keys = [_field(decl, "name", str, entry_where) for decl in decls]
-        if keys != list(expected):
-            raise ModelFormatError(
-                f"{path}: layer {layer.name} declares parameters {keys}, expected "
-                f"{list(expected)}")
-        for key, decl in zip(keys, decls):
-            shape = tuple(_field(decl, "shape", list, entry_where))
-            if shape != expected[key]:
-                raise ModelFormatError(
-                    f"{path}: parameter {layer.name}.{key} shape {shape} unexpected")
+    declared, expected = ({key: json.dumps(value, sort_keys=True) for key, value in m.items()}
+                          for m in (manifest, _manifest(spec, label_map)))
+    expected["config"] = declared["config"]
+    differ = sorted(key for key in declared.keys() | expected.keys()
+                    if declared.get(key) != expected.get(key))
+    if differ:
+        raise ModelFormatError(f"{where}: {', '.join(differ)} not as save_model writes "
+                               f"them for this {spec.arch} config")
     return spec, label_map

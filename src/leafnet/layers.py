@@ -321,8 +321,6 @@ def dropout_forward(x: np.ndarray, rate: float, mode: str,
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if mode == "infer" or rate == 0.0:
         return x, DropoutMask(rate, None)
-    if mode != "train":
-        raise ConfigError(f"dropout mode must be 'train' or 'infer', got {mode!r}")
     if rng is None:
         raise ConfigError("train-mode dropout needs an rng")
     keep = (rng.random(x.shape) >= rate).astype(x.dtype)
@@ -418,11 +416,12 @@ def lstm_cell_backward(cache: dict, params: dict[str, np.ndarray],
     }
 
 
-def lstm_forward(sequence: np.ndarray, params: dict[str, np.ndarray],
-                 return_caches: bool = False):
+def lstm_forward(sequence: np.ndarray, params: dict[str, np.ndarray]
+                 ) -> tuple[np.ndarray, dict]:
     """Run the cell over t = 1..T from zero state on [T, In] or [N, T, In];
     returns the final hidden state (the sequence's summary vector feeding
-    the dense head). The input projection x W of every step is one GEMM."""
+    the dense head) and the caches lstm_backward reads. The input
+    projection x W of every step is one GEMM."""
     if sequence.ndim not in (2, 3):
         raise ShapeError(f"lstm input must be [T, In] or [N, T, In], got shape {sequence.shape}")
     if sequence.shape[-2] < 1:
@@ -441,11 +440,8 @@ def lstm_forward(sequence: np.ndarray, params: dict[str, np.ndarray],
         h, c, cache = _gates(z, c)
         if t + 1 < t_steps:
             h_prev[..., t + 1, :] = h
-        if return_caches:
-            steps.append(cache)
-    if return_caches:
-        return h, {"x": sequence, "h_prev": h_prev, "steps": steps}
-    return h
+        steps.append(cache)
+    return h, {"x": sequence, "h_prev": h_prev, "steps": steps}
 
 
 def lstm_backward(caches: dict, params: dict[str, np.ndarray], dh_last: np.ndarray,

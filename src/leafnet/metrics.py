@@ -86,7 +86,14 @@ def per_class_prf(cm: ConfusionMatrix, k: int) -> tuple[float, float, float]:
 
 def aggregates(cm: ConfusionMatrix) -> tuple[tuple[float, float, float],
                                              tuple[float, float, float], float]:
-    """(macro P/R/F1, support-weighted P/R/F1, accuracy)."""
+    """(macro P/R/F1, support-weighted P/R/F1, accuracy) of class_report(cm)."""
+    report = class_report(cm)
+    return report.macro, report.weighted, report.accuracy
+
+
+def class_report(cm: ConfusionMatrix) -> ClassReport:
+    """Per-class scores and supports, computed once; the macro and weighted
+    averages and the accuracy derive from them."""
     per = [per_class_prf(cm, k) for k in range(cm.k)]
     supports = [cm.support(k) for k in range(cm.k)]
     total = sum(supports)
@@ -95,13 +102,6 @@ def aggregates(cm: ConfusionMatrix) -> tuple[tuple[float, float, float],
     macro = tuple(sum(row[i] for row in per) / cm.k for i in range(3))
     weighted = tuple(sum(row[i] * s for row, s in zip(per, supports)) / total
                      for i in range(3))
-    return macro, weighted, accuracy(cm)
-
-
-def class_report(cm: ConfusionMatrix) -> ClassReport:
-    per = [per_class_prf(cm, k) for k in range(cm.k)]
-    supports = [cm.support(k) for k in range(cm.k)]
-    macro, weighted, acc = aggregates(cm)
     predicted = cm.counts.sum(axis=0)
     zero_division = sum(1 for k in range(cm.k)
                         if supports[k] == 0 or predicted[k] == 0)
@@ -111,10 +111,10 @@ def class_report(cm: ConfusionMatrix) -> ClassReport:
         recall=[r for _, r, _ in per],
         f1=[f for _, _, f in per],
         support=supports,
-        accuracy=acc,
+        accuracy=accuracy(cm),
         macro=macro,
         weighted=weighted,
-        total_support=sum(supports),
+        total_support=total,
         zero_division_count=zero_division,
     )
 

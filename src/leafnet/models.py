@@ -208,7 +208,7 @@ _KINDS = {
     "lstm": _Kind(
         "LSTM", _lstm_shapes,
         lambda shapes, rng: L.init_lstm(shapes["w_input"][0], shapes["w_recurrent"][0], rng),
-        lambda s, p, x, mode, rng: L.lstm_forward(x, p, return_caches=True),
+        lambda s, p, x, mode, rng: L.lstm_forward(x, p),
         lambda s, p, cache, d, need: L.lstm_backward(cache, p, d, need_input=need)),
 }
 
@@ -284,7 +284,10 @@ def _forward(model: SequentialModel, x: np.ndarray, mode: str,
     carry it return a fresh array). With `keep_caches`, also returns one
     (cache, activated output) pair per layer for backward(); ReLU's
     gradient gate reads out > 0, which is pre > 0. Without, each layer's
-    input is freed as soon as the next layer has it."""
+    input is freed as soon as the next layer has it. `mode` is "train" or
+    "infer"; it is checked here, once, for every layer kind."""
+    if mode not in ("train", "infer"):
+        raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
     _check_input(model, x)
     caches = [] if keep_caches else None
     out = x

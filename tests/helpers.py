@@ -265,6 +265,10 @@ MALFORMED_MANIFESTS = {
     "label-map-length": lambda m: {**m, "label_map": m["label_map"][:-1]},
     "other-gate-order": lambda m: {**m, "gate_order": "fiog"},
     "missing-gate-order": lambda m: _without(m, "gate_order"),
+    "missing-format": lambda m: _without(m, "format"),
+    "manifest-version-2": lambda m: {**m, "version": 2},
+    "layer-extra-key": lambda m: {
+        **m, "layers": [{**m["layers"][0], "extra": 1}] + m["layers"][1:]},
     "dense-units-2**62": declaring("cnn", dense_units=2 ** 62),
     "lstm-hidden-2**62": declaring("lstm", hidden=2 ** 62),
 }

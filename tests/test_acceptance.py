@@ -434,7 +434,7 @@ def test_criterion_10_full_dataset_integration(tmp_path):
                       classes=38, conv_dropout=0.0, dense_dropout=0.0)
     model = M.build_cnn(cfg, seed=1)
     model.label_map = list(index.label_map)
-    loader = lambda p: D.load_image(p, "cnn", cnn_size=32)
+    loader = lambda p: D.load_image(p, model.spec.input_shape)
     train_set = D.DiskDataset(small, "train", loader)
     valid_set = D.DiskDataset(small, "valid", loader)
     TR.train(model, train_set, valid_set, TR.TrainConfig(epochs=1, batch_size=16,

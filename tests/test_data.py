@@ -1,4 +1,5 @@
 import os
+import struct
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ from leafnet import layers as L
 from leafnet import models as M
 from leafnet import training as TR
 from leafnet.errors import (ConfigError, DatasetError, DecodeError,
-                            ModelFormatError)
+                            ModelFormatError, ModelStateError)
 
 TWO_CLASS = {"blight": (170, 110, 30), "healthy": (40, 200, 40)}
 
@@ -63,7 +64,7 @@ class TestScanDataset:
 class TestDecoding:
     def test_solid_ppm_to_all_ones(self, tmp_path):
         write_ppm(tmp_path / "w.ppm", np.full((10, 10, 3), 255, np.uint8))
-        x = D.load_image(tmp_path / "w.ppm", "cnn", cnn_size=128)
+        x = D.load_image(tmp_path / "w.ppm", (128, 128, 3))
         assert x.shape == (128, 128, 3)
         assert x.dtype == np.float32
         assert np.all(x == 1.0)
@@ -78,7 +79,7 @@ class TestDecoding:
     def test_ppm_maxval_15_white_loads_as_ones(self, tmp_path):
         (tmp_path / "w15.ppm").write_bytes(b"P6 2 1 15\n" + bytes([15] * 6))
         np.testing.assert_array_equal(D.decode_image(tmp_path / "w15.ppm"), 255)
-        assert np.all(D.load_image(tmp_path / "w15.ppm", "cnn", cnn_size=4) == 1.0)
+        assert np.all(D.load_image(tmp_path / "w15.ppm", (4, 4, 3)) == 1.0)
 
     def test_ppm_maxval_15_rescales_every_level(self, tmp_path):
         levels = np.arange(16, dtype=np.uint8)
@@ -129,18 +130,18 @@ class TestDecoding:
     def test_zero_sized_ppm_rejected(self, tmp_path):
         (tmp_path / "empty.ppm").write_bytes(b"P6 0 0 255\n")
         with pytest.raises(DecodeError, match="empty.ppm"):
-            D.load_image(tmp_path / "empty.ppm")
+            D.load_image(tmp_path / "empty.ppm", (128, 128, 3))
 
     @pytest.mark.parametrize("shape", [(0, 4, 3), (4, 0, 3)])
     def test_zero_sized_png_rejected(self, tmp_path, shape):
         write_png(tmp_path / "empty.png", np.zeros(shape, np.uint8))
         with pytest.raises(DecodeError, match="empty.png"):
-            D.load_image(tmp_path / "empty.png")
+            D.load_image(tmp_path / "empty.png", (128, 128, 3))
 
     def test_short_ihdr_png_rejected(self, tmp_path):
         write_png(tmp_path / "short.png", np.zeros((4, 4, 3), np.uint8), ihdr=SHORT_IHDR)
         with pytest.raises(DecodeError, match="short.png.*IHDR"):
-            D.load_image(tmp_path / "short.png")
+            D.load_image(tmp_path / "short.png", (128, 128, 3))
 
     def test_unknown_format_rejected(self, tmp_path):
         (tmp_path / "junk.ppm").write_bytes(b"not an image at all")
@@ -152,8 +153,14 @@ class TestDecoding:
             D.decode_image(tmp_path / "nope.ppm")
 
     def test_unknown_target_rejected_before_reading(self, tmp_path):
-        with pytest.raises(ConfigError, match="resnet"):
-            D.load_image(tmp_path / "nope.ppm", "resnet")
+        """A shape no square RGB image fills is refused before the (missing)
+        file is read; a model input shape gets as far as reading it."""
+        for shape in [(8, 8, 1), (7, 100), (8, 6, 3), (0, 3), ()]:
+            with pytest.raises(ConfigError, match="no square RGB image"):
+                D.load_image(tmp_path / "nope.ppm", shape)
+        for shape in [(8, 8, 3), (4, 48)]:
+            with pytest.raises(DecodeError, match="nope.ppm"):
+                D.load_image(tmp_path / "nope.ppm", shape)
 
 
 class TestResize:
@@ -161,7 +168,7 @@ class TestResize:
         rng = np.random.default_rng(3)
         raw = rng.integers(0, 256, (128, 128, 3)).astype(np.uint8)
         write_ppm(tmp_path / "i.ppm", raw)
-        x = D.load_image(tmp_path / "i.ppm", "cnn", cnn_size=128)
+        x = D.load_image(tmp_path / "i.ppm", (128, 128, 3))
         np.testing.assert_array_equal(x, (raw / 255.0).astype(np.float32))
 
     def test_checkerboard_matches_scalar_bilinear_formula(self):
@@ -213,7 +220,7 @@ class TestResize:
         size = (tmp_path / "big.ppm").stat().st_size
         tracemalloc.start()
         try:
-            x = D.load_image(tmp_path / "big.ppm", "cnn", cnn_size=128)
+            x = D.load_image(tmp_path / "big.ppm", (128, 128, 3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -223,7 +230,7 @@ class TestResize:
     def test_values_stay_in_range(self, tmp_path):
         rng = np.random.default_rng(4)
         write_ppm(tmp_path / "r.ppm", rng.integers(0, 256, (9, 13, 3)).astype(np.uint8))
-        x = D.load_image(tmp_path / "r.ppm", "cnn", cnn_size=32)
+        x = D.load_image(tmp_path / "r.ppm", (32, 32, 3))
         assert x.min() >= 0.0 and x.max() <= 1.0
 
 
@@ -232,18 +239,24 @@ class TestSequenceTensor:
         rng = np.random.default_rng(5)
         raw = rng.integers(0, 256, (100, 90, 3)).astype(np.uint8)
         write_ppm(tmp_path / "s.ppm", raw)
-        seq = D.load_image(tmp_path / "s.ppm", "lstm", timesteps=15, features=1280)
+        seq = D.load_image(tmp_path / "s.ppm", (15, 1280))
         assert seq.shape == (15, 1280)
         img = (D.bilinear_resize(raw, 80, 80) / 255.0).astype(np.float32)
         np.testing.assert_array_equal(seq.reshape(-1), img.reshape(-1))
 
-    def test_invalid_timestep_split_rejected(self):
+    def test_invalid_timestep_split_rejected(self, tmp_path):
+        write_ppm(tmp_path / "s.ppm", np.zeros((10, 10, 3), np.uint8))
         with pytest.raises(ConfigError):
-            D.lstm_image_size(timesteps=7, features=100)
+            D.load_image(tmp_path / "s.ppm", (7, 100))
 
-    def test_default_dims_factor(self):
-        assert D.lstm_image_size(15, 1280) == 80
-        assert 15 * 1280 == 80 * 80 * 3
+    def test_default_dims_factor(self, tmp_path):
+        """The stock LSTM input reads an 80x80 image: one that size is not resized."""
+        raw = np.random.default_rng(7).integers(0, 256, (80, 80, 3)).astype(np.uint8)
+        write_ppm(tmp_path / "s.ppm", raw)
+        shape = M.lstm_spec(M.LstmConfig()).input_shape
+        assert shape == (15, 1280) and 15 * 1280 == 80 * 80 * 3
+        seq = D.load_image(tmp_path / "s.ppm", shape)
+        np.testing.assert_array_equal(seq.reshape(80, 80, 3), (raw / 255.0).astype(np.float32))
 
 
 class TestBatches:
@@ -254,7 +267,7 @@ class TestBatches:
 
     def test_batch_sizes_include_short_final(self, tmp_path):
         ds = D.DiskDataset(self.make_index(tmp_path, n_train=10), "train",
-                           lambda p: D.load_image(p, "cnn", cnn_size=8))
+                           lambda p: D.load_image(p, (8, 8, 3)))
         assert [len(labels) for _, labels in ds.batches(4, 0, 0)] == [4, 4, 2]
 
     def test_same_seed_epoch_same_order(self, tmp_path):
@@ -401,6 +414,14 @@ class TestModelFile:
         with pytest.raises(ModelFormatError, match="bad.leaf"):
             D.load_model(tmp_path / "bad.leaf")
 
+    @pytest.mark.parametrize("field", ["format", "config"])
+    def test_deeply_nested_manifest_rejected(self, tmp_path, field):
+        manifest = b'{"arch": "cnn", "%s": %s}' % (field.encode(), b"[" * 10 ** 5 + b"]" * 10 ** 5)
+        (tmp_path / "deep.leaf").write_bytes(
+            D.MAGIC + struct.pack("<II", D.FORMAT_VERSION, len(manifest)) + manifest)
+        with pytest.raises(ModelFormatError, match="deep.leaf"):
+            D.load_model(tmp_path / "deep.leaf")
+
     @pytest.mark.parametrize("change", [lambda b: b[:-1], lambda b: b + b"\0"],
                              ids=["one-byte-short", "one-byte-long"])
     def test_one_byte_off_rejected(self, tmp_path, change):
@@ -466,6 +487,13 @@ class TestModelFile:
             for key in a:
                 assert np.array_equal(a[key], b[key])
 
+    def test_wrong_shaped_parameter_refused_before_writing(self, tmp_path):
+        model = self.small_model()
+        model.params[0]["kernels"] = model.params[0]["kernels"][..., :1]
+        with pytest.raises(ModelStateError, match="spec"):
+            D.save_model(model, tmp_path / "m.leaf")
+        assert not list(tmp_path.iterdir())
+
     def test_no_partial_file_on_save(self, tmp_path):
         model = self.small_model()
         D.save_model(model, tmp_path / "m.leaf")
@@ -473,7 +501,7 @@ class TestModelFile:
 
     def test_failed_save_leaves_no_temp_file(self, tmp_path):
         model = self.small_model()
-        model.params[-1]["bias"] = np.array(["not a number"], dtype=object)
+        model.params[-1]["bias"] = np.full(3, "not a number", dtype=object)
         with pytest.raises(ValueError):
             D.save_model(model, tmp_path / "m.leaf")
         assert not list(tmp_path.iterdir())
@@ -491,7 +519,7 @@ class TestModelFile:
         model = self.small_model()
         D.save_model(model, tmp_path / "m.leaf")
         before = (tmp_path / "m.leaf").read_bytes()
-        model.params[-1]["bias"] = np.array(["not a number"], dtype=object)
+        model.params[-1]["bias"] = np.full(3, "not a number", dtype=object)
         with pytest.raises(ValueError):
             D.save_model(model, tmp_path / "m.leaf")
         assert [p.name for p in tmp_path.iterdir()] == ["m.leaf"]

@@ -4,14 +4,18 @@ A function, class or constant that nothing in the package references is
 dead code kept alive only by its tests; it is deleted, not kept. The few
 exceptions below are public entry points the acceptance criteria call.
 The package also imports nothing beyond the standard library and numpy,
-save pillow inside the JPEG decoder.
+save pillow inside the JPEG decoder, and every function the benchmark's
+tracer wraps still exists under its name.
 """
 
 import ast
+import importlib
+import importlib.util
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "leafnet"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "leafnet"
 
 # (module, name) -> why it stays without a caller in src/
 ALLOWED = {
@@ -22,6 +26,8 @@ ALLOWED = {
     ("layers", "lstm_cell_backward"): "the single-step LSTM API acceptance criterion 3 "
                                       "checks against finite differences",
     ("data", "synth_dataset"): "the synthetic fixture acceptance criterion 6 trains on",
+    ("metrics", "aggregates"): "acceptance criterion 7 checks the macro and weighted "
+                               "averages through it",
 }
 
 
@@ -112,3 +118,28 @@ def test_numpy_is_the_only_hard_dependency():
                 if not (top in sys.stdlib_module_names or top == "numpy" or lazy_pillow):
                     hard.append(f"{module}: {name}")
     assert not hard, f"imports beyond the standard library and numpy: {hard}"
+
+
+def test_benchmark_tracer_installs_and_restores_every_target():
+    """perfbench/spans.py wraps package functions by module attribute. A
+    target renamed or removed fails its install() here, in Tier-1, instead
+    of only in a traced benchmark run; remove() must put every attribute
+    back, the dataset's `batches` included."""
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    modules = {mod: importlib.import_module(f"leafnet.{mod}") for mod, _ in spans.TARGETS}
+    before = {(mod, attr): getattr(modules[mod], attr, None) for mod, attr in spans.TARGETS}
+    dataset = modules["data"].synth_dataset(2, 1, seed=0, size=4)
+    tracer = spans.Tracer(modules, dataset)
+    try:
+        tracer.install()
+        unwrapped = [f"{mod}.{attr}" for (mod, attr), fn in before.items()
+                     if fn is not None and getattr(modules[mod], attr) is fn]
+        assert not unwrapped, f"install() left these unwrapped: {unwrapped}"
+    finally:
+        tracer.remove()
+    changed = [f"{mod}.{attr}" for (mod, attr), fn in before.items()
+               if getattr(modules[mod], attr, None) is not fn]
+    assert not changed, f"remove() did not restore: {changed}"
+    assert "batches" not in vars(dataset)

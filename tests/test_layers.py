@@ -355,14 +355,14 @@ class TestLstm:
         params = {k: v.astype(np.float64)
                   for k, v in L.init_lstm(4, 3, rng).items()}
         seq = rng.standard_normal((1, 4))
-        h_seq = L.lstm_forward(seq, params)
+        h_seq = L.lstm_forward(seq, params)[0]
         h_step, _, _ = L.lstm_cell_step(seq[0], np.zeros(3), np.zeros(3), params)
         np.testing.assert_array_equal(h_seq, h_step)
 
     def test_zero_sequence_zero_params_gives_zero(self):
         params = {"w_input": np.zeros((4, 12)), "w_recurrent": np.zeros((3, 12)),
                   "bias": np.zeros(12)}
-        out = L.lstm_forward(np.zeros((5, 4)), params)
+        out = L.lstm_forward(np.zeros((5, 4)), params)[0]
         np.testing.assert_array_equal(out, np.zeros(3))
 
     def test_forward_matches_unrolled_reference(self):
@@ -385,7 +385,7 @@ class TestLstm:
             g, o = np.tanh(z[2 * hidden:3 * hidden]), sig(z[3 * hidden:4 * hidden])
             c = f * c + i * g
             h = o * np.tanh(c)
-        np.testing.assert_allclose(L.lstm_forward(seq, params), h, atol=1e-10)
+        np.testing.assert_allclose(L.lstm_forward(seq, params)[0], h, atol=1e-10)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_sequence_backward_matches_finite_differences(self, seed):
@@ -397,9 +397,9 @@ class TestLstm:
         target = rng.standard_normal(2)
 
         def loss():
-            return float(np.sum((L.lstm_forward(seq, params) - target) ** 2))
+            return float(np.sum((L.lstm_forward(seq, params)[0] - target) ** 2))
 
-        h, caches = L.lstm_forward(seq, params, return_caches=True)
+        h, caches = L.lstm_forward(seq, params)
         analytic = L.lstm_backward(caches, params, 2 * (h - target))
         assert_grads_close(analytic, fd_grads(loss, params))
         assert_grads_close({"seq": analytic["input"]}, fd_grads(loss, {"seq": seq}))
@@ -568,11 +568,11 @@ class TestBatchedEquivalence:
                   "bias": rng.standard_normal(12) * 0.1}
         seq = rng.standard_normal((3, 5, 4))
         up = rng.standard_normal((3, 3))
-        h, caches = L.lstm_forward(seq, params, return_caches=True)
+        h, caches = L.lstm_forward(seq, params)
         g = L.lstm_backward(caches, params, up)
         singles = []
         for k in range(3):
-            h_k, caches_k = L.lstm_forward(seq[k], params, return_caches=True)
+            h_k, caches_k = L.lstm_forward(seq[k], params)
             np.testing.assert_allclose(h[k], h_k, rtol=1e-12)
             singles.append(L.lstm_backward(caches_k, params, up[k]))
         np.testing.assert_allclose(g["input"], np.stack([s["input"] for s in singles]),
@@ -590,7 +590,7 @@ class TestBatchedEquivalence:
             run = lambda need: L.conv2d_backward(x, params, up, "same", need_input=need)
         else:
             params = {k: v.astype(np.float64) for k, v in L.init_lstm(4, 3, rng).items()}
-            _, caches = L.lstm_forward(rng.standard_normal((2, 5, 4)), params, return_caches=True)
+            _, caches = L.lstm_forward(rng.standard_normal((2, 5, 4)), params)
             up = rng.standard_normal((2, 3))
             run = lambda need: L.lstm_backward(caches, params, up, need_input=need)
         full, skipped = run(True), run(False)

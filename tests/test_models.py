@@ -146,6 +146,16 @@ class TestForward:
         with pytest.raises(ShapeError, match=r"expected \(14, 14, 3\), got \(8, 8, 3\)"):
             M.forward(model, np.zeros((8, 8, 3), np.float32))
 
+    @pytest.mark.parametrize("arch", ["lstm", "zero-rate-cnn"])
+    def test_unknown_mode_rejected(self, arch):
+        """The mode is checked for every model, not only by a dropout layer
+        whose rate is above zero."""
+        model = (M.build_lstm(M.LstmConfig(timesteps=3, features=4, hidden=3, dense_units=4,
+                                           classes=5))
+                 if arch == "lstm" else toy_cnn())
+        with pytest.raises(ConfigError, match="bogus"):
+            M.forward(model, np.zeros(model.spec.input_shape, np.float32), "bogus")
+
     def test_lstm_forward_shape(self):
         cfg = M.LstmConfig(timesteps=3, features=4, hidden=3, dense_units=4, classes=5)
         model = M.build_lstm(cfg)
