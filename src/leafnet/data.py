@@ -608,8 +608,8 @@ def load_model(path: str | Path) -> M.SequentialModel:
     """Read a model file written by save_model, refusing any file that does
     not match its manifest with ModelFormatError.
 
-    The header and manifest are read and checked first. The parameter sizes
-    the manifest declares are then checked against the file's size, with
+    The header and manifest are read and checked first. The parameter total
+    the manifest declares is then checked against the file's size, with
     exact integers, before anything is allocated. The parameter bytes are
     read once, straight into one float32 array, and each parameter is a
     reshaped, writable view of that array."""
