@@ -176,12 +176,13 @@ def _decode_png(data: bytes, path: Path) -> np.ndarray:
         raise DecodeError(f"{path}: not a PNG file")
     pos = 8
     width = height = channels = None
-    idat = bytearray()
+    view = memoryview(data)     # chunk slices share the file's bytes
+    idat = []
     while pos + 8 <= len(data):
         (length,), ctype = struct.unpack(">I", data[pos:pos + 4]), data[pos + 4:pos + 8]
         if pos + 12 + length > len(data):
             raise DecodeError(f"{path}: PNG chunk {ctype!r} truncated")
-        chunk = data[pos + 8:pos + 8 + length]
+        chunk = view[pos + 8:pos + 8 + length]
         crc, = struct.unpack(">I", data[pos + 8 + length:pos + 12 + length])
         if zlib.crc32(chunk, zlib.crc32(ctype)) != crc:
             raise DecodeError(f"{path}: PNG chunk {ctype!r} fails its CRC-32 check")
@@ -197,9 +198,11 @@ def _decode_png(data: bytes, path: Path) -> np.ndarray:
             if channels is None:
                 raise DecodeError(f"{path}: unsupported PNG color type {color}")
         elif ctype == b"IDAT":
-            idat.extend(chunk)
+            idat.append(chunk)
         elif ctype == b"IEND":
             break
+    # one IDAT chunk inflates straight from the file's bytes; several are joined once
+    idat = idat[0] if len(idat) == 1 else b"".join(idat)
     if width is None or not idat:
         raise DecodeError(f"{path}: PNG missing IHDR or IDAT")
     # Inflate at most the declared size, plus one byte to tell a longer

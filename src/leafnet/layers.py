@@ -28,6 +28,19 @@ the output width are dropped. A chunk holds max(1, ROWS // (oh*Wp)) samples
 and a band max(1, ROWS // (n*Wp)) output rows, so large layers stream one
 sample through bounded bands and small ones batch samples in one band.
 
+A conv call of at least T.SPLIT_MIN multiply-adds is split in two by
+T.halves: the worker thread runs the first half while the caller runs the
+second, each half chunking and banding its own part. Where the kernels
+hold CHANNEL_SPLIT times the input's values (the 6x6 layers), forward splits
+the output channels and backward the input channels, so each half reads half
+the weights and writes its own slices of the results. Otherwise forward and
+backward split the samples, and a single sample's forward its output rows;
+a backward of one sample splits its input channels. Only the sample split
+of backward sums in parts: each half sums its own kernel gradient, and the
+second sum is added to the first. The dense and LSTM weight products go
+through T.matmul_halves. The worker runs only numpy ops and T.matmul, never
+a layer function (see tensor.halves).
+
 The LSTM has two entry points. lstm_forward/lstm_backward run the whole
 sequence and are what the models use. lstm_cell_step/lstm_cell_backward are
 the single-step API: one recurrence step and its gradients, from any (h, c)
@@ -128,12 +141,12 @@ def conv_output_hw(h: int, w: int, kh: int, kw: int, padding: str) -> tuple[int,
     raise ConfigError(f"unknown padding {padding!r}")
 
 
-def _chunks(n: int, rows_each: int):
-    """(first, count) of each run of items, `rows_each` wide rows apiece,
-    that fits ROWS: the samples of one conv call, or the output rows of one
-    chunk."""
+def _chunks(n: int, rows_each: int, lo: int = 0):
+    """(first, count) of each run of items lo..n-1, `rows_each` wide rows
+    apiece, that fits ROWS: the samples of one conv call, or the output rows
+    of one chunk."""
     step = max(1, ROWS // rows_each)
-    return [(b, min(step, n - b)) for b in range(0, n, step)]
+    return [(b, min(step, n - b)) for b in range(lo, n, step)]
 
 
 def _padded_rows(x: np.ndarray, pad: int, kw: int) -> np.ndarray:
@@ -149,14 +162,14 @@ def _padded_rows(x: np.ndarray, pad: int, kw: int) -> np.ndarray:
     return flat
 
 
-def _row_taps(flat: np.ndarray, oh: int, stride: int, kh: int, kw: int):
-    """Per band of a chunk's output rows (stride = n*Wp rows per output row):
-    (first output row o, row count, taps). taps [(kh-1+count)*stride, kw*C]
-    holds the kw column shifts of flat's rows from o*stride side by side, so
-    row t is flat[o*stride + t + j] for j = 0..kw-1, and the rows from
-    i*stride on multiply kernel row i reshaped to [kw*C, Cout]. Every band
-    reuses one buffer."""
-    bands = _chunks(oh, stride)
+def _row_taps(flat: np.ndarray, lo: int, hi: int, stride: int, kh: int, kw: int):
+    """Per band of a chunk's output rows lo..hi-1 (stride = n*Wp rows per
+    output row): (first output row o, row count, taps). taps
+    [(kh-1+count)*stride, kw*C] holds the kw column shifts of flat's rows
+    from o*stride side by side, so row t is flat[o*stride + t + j] for
+    j = 0..kw-1, and the rows from i*stride on multiply kernel row i reshaped
+    to [kw*C, Cout]. Every band reuses one buffer."""
+    bands = _chunks(hi, stride, lo)
     buf = np.empty(((kh - 1 + bands[0][1]) * stride, kw, flat.shape[1]), dtype=flat.dtype)
     for o, no in bands:
         rows = (kh - 1 + no) * stride
@@ -170,8 +183,85 @@ def _unpad(rows: np.ndarray, hp: int, n: int, wp: int, rs: slice, cs: slice) -> 
     return rows[:hp * n * wp].reshape(hp, n, wp, -1)[rs, :, cs].transpose(1, 0, 2, 3)
 
 
+def _forward_part(xb: np.ndarray, kernels: np.ndarray, bias: np.ndarray, pad: int,
+                  out: np.ndarray, lo: int, hi: int) -> None:
+    """Output rows lo..hi-1 of the samples xb [n, H, W, C], chunk by chunk
+    and band by band, into out [n, oh, ow, Cout]. kernels and bias may be a
+    slice of a layer's output channels, and out the matching slice."""
+    kh, kw, cin, cout = kernels.shape
+    wp = xb.shape[2] + 2 * pad
+    oh, ow = out.shape[1:3]
+    k_rows = kernels.reshape(kh, kw * cin, cout)
+    for b, nb in _chunks(len(xb), oh * wp):
+        flat = _padded_rows(xb[b:b + nb], pad, kw)
+        stride = nb * wp
+        for o, no, taps in _row_taps(flat, lo, hi, stride, kh, kw):
+            m = no * stride
+            acc = T.matmul(taps[:m], k_rows[0])
+            for i in range(1, kh):
+                acc += T.matmul(taps[i * stride:i * stride + m], k_rows[i])
+            np.add(_unpad(acc, no, nb, wp, slice(None), slice(ow)), bias,
+                   out=out[b:b + nb, o:o + no])
+
+
+def _backward_part(xb: np.ndarray, ub: np.ndarray, kernels: np.ndarray, pad: int,
+                   d_x: np.ndarray | None) -> np.ndarray:
+    """The kernel gradient [kh, kw, C, Cout] of the samples xb [n, H, W, C]
+    under upstream ub [n, oh, ow, Cout], summed over them; with d_x, their
+    input gradient is written into it. kernels may be a slice of a layer's
+    input channels, with xb and d_x the matching slices."""
+    kh, kw, cin, cout = kernels.shape
+    n, h, w, _ = xb.shape
+    oh, ow = ub.shape[1:3]
+    hp, wp = h + 2 * pad, w + 2 * pad
+    d_rows = np.zeros((kh, kw * cin, cout), dtype=np.result_type(xb, ub))
+    for b, nb in _chunks(n, oh * wp):
+        flat = _padded_rows(xb[b:b + nb], pad, kw)
+        stride = nb * wp
+        u_chunk = ub[b:b + nb].transpose(1, 0, 2, 3)
+        if d_x is not None:
+            d_flat = np.zeros((flat.shape[0], cin), dtype=d_x.dtype)
+        for o, no, taps in _row_taps(flat, 0, oh, stride, kh, kw):
+            m = no * stride
+            # wide rows: the kw-1 columns past the output width carry zero gradient
+            up = np.zeros((no, nb, wp, cout), dtype=ub.dtype)
+            up[:, :, :ow] = u_chunk[o:o + no]
+            up = up.reshape(m, cout)
+            for i in range(kh):
+                d_rows[i] += T.matmul(taps[i * stride:i * stride + m].T, up)
+            if d_x is not None:
+                for i in range(kh):
+                    for j in range(kw):
+                        s = (o + i) * stride + j
+                        d_flat[s:s + m] += T.matmul(up, kernels[i, j].T)
+        if d_x is not None:
+            d_x[b:b + nb] = _unpad(d_flat, hp, nb, wp, slice(pad, pad + h), slice(pad, pad + w))
+    return d_rows.reshape(kh, kw, cin, cout)
+
+
+# A conv call whose kernels hold this many times its input's values splits
+# its channels: reading the weights then dominates, and each half reads half.
+# Timed on the stock layers, that won on the 6x6 maps (32x at 4 samples, 64x
+# and more at one) and lost or tied on the 14x14 ones (3x and 12x).
+CHANNEL_SPLIT = 16
+
+
+def _split(xb: np.ndarray, oh: int, ow: int, kernels: np.ndarray) -> str:
+    """How T.halves splits a conv call: "whole" below T.SPLIT_MIN
+    multiply-adds, "channels" from CHANNEL_SPLIT on, else "samples", or the
+    output "rows" of one sample. The choice depends on the shapes only."""
+    if len(xb) * oh * ow * kernels.size < T.SPLIT_MIN:
+        return "whole"
+    if kernels.size >= CHANNEL_SPLIT * xb.size:
+        return "channels"
+    return "samples" if len(xb) > 1 else "rows"
+
+
 def conv2d_forward(x: np.ndarray, params: dict[str, np.ndarray],
                    padding: str = "same") -> np.ndarray:
+    """Convolution; a large call is split by `_split` into halves of its
+    output channels, samples or output rows, which write disjoint parts of
+    the output."""
     xb = _as_batch(x, 3, "conv2d input must be [H, W, C] or [N, H, W, C]")
     kernels, bias = params["kernels"], params["bias"]
     kh, kw, cin, cout = kernels.shape
@@ -180,26 +270,29 @@ def conv2d_forward(x: np.ndarray, params: dict[str, np.ndarray],
         raise ShapeError(f"conv2d channels mismatch: input {x.shape} vs kernels {kernels.shape}")
     oh, ow = conv_output_hw(h, w, kh, kw, padding)
     pad = (kh - 1) // 2 if padding == "same" else 0
-    wp = w + 2 * pad
-    k_rows = kernels.reshape(kh, kw * cin, cout)
     out = np.empty((n, oh, ow, cout), dtype=np.result_type(x, kernels, bias))
-    for b, nb in _chunks(n, oh * wp):
-        flat = _padded_rows(xb[b:b + nb], pad, kw)
-        stride = nb * wp
-        for o, no, taps in _row_taps(flat, oh, stride, kh, kw):
-            m = no * stride
-            acc = T.matmul(taps[:m], k_rows[0])
-            for i in range(1, kh):
-                acc += T.matmul(taps[i * stride:i * stride + m], k_rows[i])
-            np.add(_unpad(acc, no, nb, wp, slice(None), slice(ow)), bias,
-                   out=out[b:b + nb, o:o + no])
+    split = _split(xb, oh, ow, kernels)
+    if split == "whole":
+        _forward_part(xb, kernels, bias, pad, out, 0, oh)
+    elif split == "channels":
+        T.halves(cout, lambda lo, hi: _forward_part(
+            xb, kernels[..., lo:hi], bias[lo:hi], pad, out[..., lo:hi], 0, oh))
+    elif split == "samples":
+        T.halves(n, lambda lo, hi: _forward_part(
+            xb[lo:hi], kernels, bias, pad, out[lo:hi], 0, oh))
+    else:
+        T.halves(oh, lambda lo, hi: _forward_part(xb, kernels, bias, pad, out, lo, hi))
     return out if x.ndim == 4 else out[0]
 
 
 def conv2d_backward(x: np.ndarray, params: dict[str, np.ndarray], upstream: np.ndarray,
                     padding: str = "same", need_input: bool = True) -> dict[str, np.ndarray]:
     """Gradients for kernels, bias and, unless `need_input` is false, the
-    input. Bias grad is the per-channel sum of the upstream gradient."""
+    input. Bias grad is the per-channel sum of the upstream gradient. A large
+    call is split into halves of its input channels, which give disjoint
+    slices of both gradients, or, where `_split` picks samples, into halves
+    of the samples: each half then sums its own kernel gradient, and the
+    second half's sum is added to the first's."""
     xb = _as_batch(x, 3, "conv2d input must be [H, W, C] or [N, H, W, C]")
     kernels = params["kernels"]
     kh, kw, cin, cout = kernels.shape
@@ -210,32 +303,22 @@ def conv2d_backward(x: np.ndarray, params: dict[str, np.ndarray], upstream: np.n
                          f"{x.shape[:-3] + (oh, ow, cout)}")
     ub = upstream if x.ndim == 4 else upstream[None]
     pad = (kh - 1) // 2 if padding == "same" else 0
-    hp, wp = h + 2 * pad, w + 2 * pad
-    d_rows = np.zeros((kh, kw * cin, cout), dtype=np.result_type(x, upstream))
-    if need_input:
-        d_x = np.empty(xb.shape, dtype=np.result_type(upstream, kernels))
-    for b, nb in _chunks(n, oh * wp):
-        flat = _padded_rows(xb[b:b + nb], pad, kw)
-        stride = nb * wp
-        u_chunk = ub[b:b + nb].transpose(1, 0, 2, 3)
-        if need_input:
-            d_flat = np.zeros((flat.shape[0], cin), dtype=d_x.dtype)
-        for o, no, taps in _row_taps(flat, oh, stride, kh, kw):
-            m = no * stride
-            # wide rows: the kw-1 columns past the output width carry zero gradient
-            up = np.zeros((no, nb, wp, cout), dtype=upstream.dtype)
-            up[:, :, :ow] = u_chunk[o:o + no]
-            up = up.reshape(m, cout)
-            for i in range(kh):
-                d_rows[i] += T.matmul(taps[i * stride:i * stride + m].T, up)
-            if need_input:
-                for i in range(kh):
-                    for j in range(kw):
-                        s = (o + i) * stride + j
-                        d_flat[s:s + m] += T.matmul(up, kernels[i, j].T)
-        if need_input:
-            d_x[b:b + nb] = _unpad(d_flat, hp, nb, wp, slice(pad, pad + h), slice(pad, pad + w))
-    grads = {"kernels": d_rows.reshape(kernels.shape), "bias": _rows(upstream).sum(axis=0)}
+    d_x = np.empty(xb.shape, dtype=np.result_type(upstream, kernels)) if need_input else None
+    split = _split(xb, oh, ow, kernels)
+    if split == "whole":
+        d_k = _backward_part(xb, ub, kernels, pad, d_x)
+    elif split == "samples":
+        d_k, second = T.halves(n, lambda lo, hi: _backward_part(
+            xb[lo:hi], ub[lo:hi], kernels, pad, None if d_x is None else d_x[lo:hi]))
+        d_k += second
+    else:
+        d_k = np.empty(kernels.shape, dtype=np.result_type(x, upstream))
+
+        def half(lo, hi):
+            d_k[:, :, lo:hi] = _backward_part(xb[..., lo:hi], ub, kernels[:, :, lo:hi], pad,
+                                              None if d_x is None else d_x[..., lo:hi])
+        T.halves(cin, half)
+    grads = {"kernels": d_k, "bias": _rows(upstream).sum(axis=0)}
     if need_input:
         grads["input"] = d_x if x.ndim == 4 else d_x[0]
     return grads
@@ -288,7 +371,7 @@ def dense_forward(x: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarray:
     weights, bias = params["weights"], params["bias"]
     if x.ndim not in (1, 2) or x.shape[-1] != weights.shape[0]:
         raise ShapeError(f"dense input shape {x.shape} vs weights {weights.shape}")
-    return T.matmul(_rows(x), weights).reshape(x.shape[:-1] + bias.shape) + bias
+    return T.matmul_halves(_rows(x), weights).reshape(x.shape[:-1] + bias.shape) + bias
 
 
 def dense_backward(x: np.ndarray, params: dict[str, np.ndarray],
@@ -300,9 +383,9 @@ def dense_backward(x: np.ndarray, params: dict[str, np.ndarray],
                          f"and weights {weights.shape}")
     u = _rows(upstream)
     return {
-        "weights": T.matmul(_rows(x).T, u),
+        "weights": T.matmul_halves(_rows(x).T, u),
         "bias": u.sum(axis=0),
-        "input": T.matmul(u, weights.T).reshape(x.shape),
+        "input": T.matmul_halves(u, weights.T).reshape(x.shape),
     }
 
 
@@ -348,21 +431,21 @@ def flatten(x: np.ndarray) -> np.ndarray:
 # LSTM
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + e) where z >= 0 and e / (1 + e) below, with e = exp(-|z|),
+    so exp never overflows."""
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def _gates(z: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
     """Split z = x W + h U + b into [i, f, g, o] along its last axis; then
-    c' = sigmoid(f) * c + sigmoid(i) * tanh(g) and h' = sigmoid(o) * tanh(c')."""
+    c' = sigmoid(f) * c + sigmoid(i) * tanh(g) and h' = sigmoid(o) * tanh(c').
+    One sigmoid call covers all of z; its candidate quarter goes unused."""
     hidden = z.shape[-1] // 4
-    zi, zf, zg, zo = (z[..., k * hidden:(k + 1) * hidden] for k in range(4))
-    i, f, o = _sigmoid(zi), _sigmoid(zf), _sigmoid(zo)
-    g = np.tanh(zg)
+    s = _sigmoid(z)
+    i, f, o = s[..., :hidden], s[..., hidden:2 * hidden], s[..., 3 * hidden:]
+    g = np.tanh(z[..., 2 * hidden:3 * hidden])
     c_new = f * c + i * g
     tanh_c = np.tanh(c_new)
     return o * tanh_c, c_new, {"c_prev": c, "i": i, "f": f, "g": g, "o": o,
@@ -430,7 +513,7 @@ def lstm_forward(sequence: np.ndarray, params: dict[str, np.ndarray]
     if sequence.shape[-1] != w.shape[0]:
         raise ShapeError(f"lstm input shape {sequence.shape} vs W {w.shape}")
     lead, t_steps, four_h = sequence.shape[:-2], sequence.shape[-2], w.shape[1]
-    xw = T.matmul(_rows(sequence), w).reshape(lead + (t_steps, four_h))
+    xw = T.matmul_halves(_rows(sequence), w).reshape(lead + (t_steps, four_h))
     h_prev = np.zeros(lead + (t_steps, four_h // 4), dtype=xw.dtype)
     c = np.zeros(lead + (four_h // 4,), dtype=xw.dtype)
     steps = []
@@ -459,9 +542,9 @@ def lstm_backward(caches: dict, params: dict[str, np.ndarray], dh_last: np.ndarr
         if t:
             dh = T.matmul(_rows(dz_t), u.T).reshape(dh.shape)
     dzr = _rows(dz)
-    grads = {"w_input": T.matmul(_rows(x).T, dzr),
-             "w_recurrent": T.matmul(_rows(caches["h_prev"]).T, dzr),
+    grads = {"w_input": T.matmul_halves(_rows(x).T, dzr),
+             "w_recurrent": T.matmul_halves(_rows(caches["h_prev"]).T, dzr),
              "bias": dzr.sum(axis=0)}
     if need_input:
-        grads["input"] = T.matmul(dzr, w.T).reshape(x.shape)
+        grads["input"] = T.matmul_halves(dzr, w.T).reshape(x.shape)
     return grads

@@ -4,9 +4,23 @@ A tensor here is a C-contiguous numpy array, float32 by default (gradient
 checks run the same code on float64 replicas). There is no broadcasting
 beyond bias-add over the last axis; every other shape change is an explicit
 reshape, which keeps backward passes auditable.
+
+Threads: importing this module pins numpy's OpenBLAS to one thread for the
+whole process, and `halves` runs the first half of a piece of work on one
+persistent worker thread while the caller runs the second. OpenBLAS's own
+helper threads spin after each call, so a second BLAS thread next to the
+worker slows both; with no known setter, or one usable CPU, there is no
+worker. The split points depend only on the work's size, never on timing or
+the CPU count, and the inline path runs the same two halves in turn, so
+results are the same bytes with and without the worker.
 """
 
 from __future__ import annotations
+
+import ctypes
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -23,13 +37,104 @@ def validate_shape(shape) -> tuple[int, ...]:
     return dims
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """2-D matrix product; inner dimensions must agree."""
+def _pin_blas() -> bool:
+    """Set every loaded OpenBLAS to one thread; False if none has a known
+    setter (or the process maps cannot be read)."""
+    try:
+        with open("/proc/self/maps") as maps:
+            libs = {ln.split()[-1] for ln in maps if "blas" in ln.lower() and ".so" in ln}
+    except OSError:
+        return False
+    pinned = False
+    for lib in sorted(libs):
+        handle = ctypes.CDLL(lib)
+        for sym in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                    "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            setter = getattr(handle, sym, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                pinned = True
+                break
+    return pinned
+
+
+_inside = threading.local()   # .busy: this thread is running a half
+
+
+def _start_worker() -> None:
+    """First thing on the worker thread: mark it busy, and move it off the
+    CPU it was started on, which is its caller's. A scheduler that does not
+    balance load across CPUs would otherwise keep both threads on one."""
+    _inside.busy = True
+    getcpu = getattr(ctypes.CDLL(None), "sched_getcpu", None)
+    if getcpu is not None:
+        getcpu.argtypes, getcpu.restype = [], ctypes.c_int
+    others = os.sched_getaffinity(0) - {getcpu() if getcpu else -1}
+    if others:
+        os.sched_setaffinity(0, others)
+
+
+# One worker, started on first use; None (every split inline) without a BLAS
+# pin or a second CPU.
+_pool = (ThreadPoolExecutor(1, "leafnet-half", _start_worker)
+         if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+         and _pin_blas() else None)
+
+
+def halves(n: int, fn) -> list:
+    """[fn(0, n // 2), fn(n // 2, n)], or [fn(0, n)] when n < 2.
+
+    The first half runs on the worker thread while the caller runs the
+    second, and both have finished when this returns. A call made from
+    inside a half, or with no worker, runs the same two halves in turn on
+    the calling thread. An exception from either half is raised here, with
+    its type, once both have finished. The worker may run only numpy ops and
+    `matmul`: the benchmark's tracer attributes every other leafnet call to
+    the thread that makes it."""
+    if n < 2:
+        return [fn(0, n)]
+    mid = n // 2
+    if _pool is None or getattr(_inside, "busy", False):
+        return [fn(0, mid), fn(mid, n)]
+    first = _pool.submit(fn, 0, mid)
+    _inside.busy = True
+    try:
+        second = fn(mid, n)
+    except BaseException:
+        first.exception()   # wait for the worker's half
+        raise
+    finally:
+        _inside.busy = False
+    return [first.result(), second]
+
+
+def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """2-D matrix product, into `out` if given; inner dimensions must agree."""
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
-    return a @ b
+    return a @ b if out is None else np.matmul(a, b, out=out)
+
+
+# Multiply-adds below which a product or a conv call runs whole, unsplit:
+# the handoff to the worker costs about as much as that much work.
+SPLIT_MIN = 1 << 20
+
+
+def matmul_halves(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """matmul(a, b) with the larger output dimension split by `halves`, once
+    the product reaches SPLIT_MIN multiply-adds. Each output element is still
+    one product over the whole inner dimension."""
+    if a.ndim != 2 or b.ndim != 2 or a.size * b.shape[1] < SPLIT_MIN:
+        return matmul(a, b)
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
+    if a.shape[0] >= b.shape[1]:
+        halves(a.shape[0], lambda lo, hi: matmul(a[lo:hi], b, out=out[lo:hi]))
+    else:
+        halves(b.shape[1], lambda lo, hi: matmul(a, b[:, lo:hi], out=out[:, lo:hi]))
+    return out
 
 
 def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models as M
+from . import tensor as T
 from .errors import ConfigError, NumericError, TrainingDiverged
 
 CLIP_EPS = 1e-12  # floor inside -ln(p); irrelevant for any reportable loss
@@ -24,6 +25,11 @@ CLIP_EPS = 1e-12  # floor inside -ln(p); irrelevant for any reportable loss
 # measurement on the stock CNN: 8 trained no faster and its caches raised
 # peak memory by ~24%.
 MICRO = 4
+
+# Elements per Adam block. Whole tensors stream through memory once per
+# operation; in 64K-element blocks, which stay in cache across the update's
+# passes, one thread took 36-40 ms per stock CNN step against 58 ms whole.
+ADAM_BLOCK = 1 << 16
 
 
 @dataclass
@@ -76,18 +82,29 @@ def adam_step(params: list[dict[str, np.ndarray]],
 
     The operations and their order are those of the textbook form
     m = b1 m + (1-b1) g, v = b2 v + (1-b2) g g, p -= lr (m/bc1) / (sqrt(v/bc2) + eps),
-    so the result is bit-identical to it; two scratch buffers per tensor
-    replace its temporaries."""
+    so the result is bit-identical to it; two scratch buffers per block
+    replace its temporaries. Every tensor is cut into blocks of at most
+    ADAM_BLOCK elements, and T.halves updates the two halves of the list of
+    all blocks."""
     state.t += 1
     b1, b2, lr = state.beta1, state.beta2, state.lr
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
+    blocks = []
     for p, g, m, v in zip(params, grads, state.m, state.v):
         for key in p:
             pk, gk, mk, vk = p[key], g[key], m[key], v[key]
             if gk.shape != pk.shape:
                 raise ConfigError(
                     f"grad shape {gk.shape} != param shape {pk.shape} for {key!r}")
+            if not (pk.flags.c_contiguous and mk.flags.c_contiguous and vk.flags.c_contiguous):
+                raise ConfigError(f"{key!r}: Adam updates C-contiguous arrays in place")
+            flat = [a.reshape(-1) for a in (pk, gk, mk, vk)]
+            blocks += [[a[s:s + ADAM_BLOCK] for a in flat]
+                       for s in range(0, pk.size, ADAM_BLOCK)]
+
+    def update(lo, hi):
+        for pk, gk, mk, vk in blocks[lo:hi]:
             step, denom = np.empty_like(mk), np.empty_like(vk)
             mk *= b1
             np.multiply(gk, 1.0 - b1, out=step)
@@ -103,6 +120,8 @@ def adam_step(params: list[dict[str, np.ndarray]],
             step *= lr
             step /= denom
             pk -= step
+
+    T.halves(len(blocks), update)
     return state
 
 

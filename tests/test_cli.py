@@ -10,6 +10,7 @@ from helpers import (MALFORMED_MANIFESTS, SHORT_IHDR, make_dataset_tree,
 from leafnet import data as D
 from leafnet import metrics as MET
 from leafnet import models as M
+from leafnet import tensor as T
 from leafnet import training as TR
 from leafnet.cli import main
 
@@ -70,6 +71,16 @@ class TestTrain:
     def test_seeded_runs_byte_identical(self, tree, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         train_fixture_model(tree, out1, epochs=2)
+        train_fixture_model(tree, out2, epochs=2)
+        assert (out1 / "history.csv").read_bytes() == (out2 / "history.csv").read_bytes()
+        assert (out1 / "model.leaf").read_bytes() == (out2 / "model.leaf").read_bytes()
+
+    def test_seeded_runs_byte_identical_without_the_worker(self, tree, tmp_path, monkeypatch):
+        """The split points do not depend on the worker: every split run
+        inline on the calling thread gives the same bytes."""
+        out1, out2 = tmp_path / "worker", tmp_path / "inline"
+        train_fixture_model(tree, out1, epochs=2)
+        monkeypatch.setattr(T, "_pool", None)
         train_fixture_model(tree, out2, epochs=2)
         assert (out1 / "history.csv").read_bytes() == (out2 / "history.csv").read_bytes()
         assert (out1 / "model.leaf").read_bytes() == (out2 / "model.leaf").read_bytes()

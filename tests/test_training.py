@@ -104,6 +104,14 @@ class TestAdam:
         with pytest.raises(ConfigError):
             TR.adam_step(params, [{"w": np.zeros(4)}], state)
 
+    def test_non_contiguous_param_rejected(self):
+        """Blocks are views of the flattened tensors; a transposed parameter
+        would flatten to a copy and never be updated."""
+        params = [{"w": np.zeros((3, 4)).T}]
+        state = TR.AdamState.for_params(params)
+        with pytest.raises(ConfigError, match="C-contiguous"):
+            TR.adam_step(params, [{"w": np.ones((4, 3))}], state)
+
 
 def textbook_adam_step(params, grads, state):
     """The allocating Adam update adam_step must reproduce bit for bit."""
@@ -118,6 +126,26 @@ def textbook_adam_step(params, grads, state):
             m_hat = m[key] / bc1
             v_hat = v[key] / bc2
             p[key] -= (state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)).astype(p[key].dtype)
+
+
+def test_blocked_adam_bit_identical_to_textbook():
+    """Tensors of several ADAM_BLOCK blocks, a short last block included,
+    and blocks of one tensor on both halves of the split: 22 steps match the
+    textbook update bit for bit."""
+    rng = np.random.default_rng(41)
+    shapes = {"k": (3, 3, 40, 300), "w": (2 * TR.ADAM_BLOCK + 123,), "b": (7,)}
+    params = [{k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}]
+    ref = [{k: p.copy() for k, p in params[0].items()}]
+    state = TR.AdamState.for_params(params, lr=1e-3)
+    ref_state = TR.AdamState.for_params(ref, lr=1e-3)
+    for _ in range(22):
+        grads = [{k: (rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3)).astype(np.float32)
+                  for k, s in shapes.items()}]
+        TR.adam_step(params, grads, state)
+        textbook_adam_step(ref, grads, ref_state)
+    for got, want in ((params, ref), (state.m, ref_state.m), (state.v, ref_state.v)):
+        for key in shapes:
+            assert got[0][key].tobytes() == want[0][key].tobytes(), key
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -226,7 +254,11 @@ class TestMicroBatch:
 def test_first_layer_input_gradient_not_computed(monkeypatch):
     """models.backward asks layer 0 for no input gradient: its conv backward
     makes the 3 kernel GEMMs only and returns no input, while the model's
-    parameter gradients equal those of a full-gradient backward."""
+    parameter gradients equal those of a full-gradient backward. With the
+    split forced on these small layers, every conv backward of the 2-sample
+    pass runs two 1-sample halves (the "samples" split of layers._split),
+    each with 3 kernel GEMMs and, except on layer 0, 9 input-gradient GEMMs:
+    the products that read the kernel."""
     model = toy_cnn()
     model_to_f64(model)
     x = np.random.default_rng(44).standard_normal((2,) + model.spec.input_shape)
@@ -236,26 +268,31 @@ def test_first_layer_input_gradient_not_computed(monkeypatch):
     conv_backward, matmul = L.conv2d_backward, T.matmul
     calls = []
 
-    def counting_matmul(a, b):
+    def counting_matmul(a, b, out=None):
         if calls and "returned" not in calls[-1]:  # inside a conv backward
-            calls[-1]["gemms"] += 1
-        return matmul(a, b)
+            # list.append is atomic: both halves' threads record here
+            calls[-1]["reads_kernel"].append(np.shares_memory(b, calls[-1]["params"]["kernels"]))
+        return matmul(a, b, out=out)
 
     def spy(x_in, params, upstream, padding, need_input=True):
-        calls.append({"params": params, "upstream": upstream, "gemms": 0})
+        calls.append({"params": params, "upstream": upstream, "reads_kernel": []})
         grads = conv_backward(x_in, params, upstream, padding, need_input=need_input)
         calls[-1]["returned"] = set(grads)
         return grads
 
     monkeypatch.setattr(L, "conv2d_backward", spy)
     monkeypatch.setattr(T, "matmul", counting_matmul)
+    monkeypatch.setattr(T, "SPLIT_MIN", 0)
     grads = M.backward(model, caches, d_logits)
-    monkeypatch.undo()
     first = next(c for c in calls if c["params"] is model.params[0])
+    full = conv_backward(first_input, model.params[0], first["upstream"], "same")
+    monkeypatch.undo()
+    halves = 2
     assert first["returned"] == {"kernels", "bias"}
-    assert first["gemms"] == 3
-    assert all(c["gemms"] == 12 for c in calls if c is not first)
-    full = L.conv2d_backward(first_input, model.params[0], first["upstream"], "same")
+    assert sorted(first["reads_kernel"]) == [False] * 3 * halves
+    for c in calls:
+        if c is not first:
+            assert sorted(c["reads_kernel"]) == [False] * 3 * halves + [True] * 9 * halves
     assert "input" in full
     for key in ("kernels", "bias"):
         np.testing.assert_array_equal(grads[0][key], full[key])
