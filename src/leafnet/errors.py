@@ -34,9 +34,11 @@ class ModelStateError(LeafnetError):
 
 
 class TrainingDiverged(NumericError):
-    """Training hit a non-finite loss; carries the epoch and batch index."""
+    """Training hit non-finite values; carries the epoch and the batch index,
+    which is None when the epoch's validation found them."""
 
-    def __init__(self, epoch: int, batch: int, detail: str = "non-finite loss"):
+    def __init__(self, epoch: int, batch: int | None, detail: str = "non-finite loss"):
         self.epoch = epoch
         self.batch = batch
-        super().__init__(f"{detail} at epoch {epoch}, batch {batch}")
+        where = f"epoch {epoch}" if batch is None else f"epoch {epoch}, batch {batch}"
+        super().__init__(f"{detail} at {where}")

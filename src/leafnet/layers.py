@@ -37,9 +37,16 @@ the weights and writes its own slices of the results. Otherwise forward and
 backward split the samples, and a single sample's forward its output rows;
 a backward of one sample splits its input channels. Only the sample split
 of backward sums in parts: each half sums its own kernel gradient, and the
-second sum is added to the first. The dense and LSTM weight products go
-through T.matmul_halves. The worker runs only numpy ops and T.matmul, never
-a layer function (see tensor.halves).
+second sum is added to the first.
+
+Conv applies its ReLU inside the halves: forward activates each band of
+output right after its bias add, and backward, given the activated output,
+gates the upstream gradient with ReLU's gradient, each sample-split half
+gating its own samples. Max-pool splits its samples at the same boundary,
+so on a sample split the thread that wrote a sample's activations also
+pools them. The dense and LSTM weight products go through T.matmul_halves.
+The worker runs only numpy ops, T.matmul and T.gate, never a layer function
+(see tensor.halves).
 
 The LSTM has two entry points. lstm_forward/lstm_backward run the whole
 sequence and are what the models use. lstm_cell_step/lstm_cell_backward are
@@ -184,10 +191,11 @@ def _unpad(rows: np.ndarray, hp: int, n: int, wp: int, rs: slice, cs: slice) -> 
 
 
 def _forward_part(xb: np.ndarray, kernels: np.ndarray, bias: np.ndarray, pad: int,
-                  out: np.ndarray, lo: int, hi: int) -> None:
+                  out: np.ndarray, lo: int, hi: int, relu: bool) -> None:
     """Output rows lo..hi-1 of the samples xb [n, H, W, C], chunk by chunk
-    and band by band, into out [n, oh, ow, Cout]. kernels and bias may be a
-    slice of a layer's output channels, and out the matching slice."""
+    and band by band, into out [n, oh, ow, Cout], with ReLU applied to each
+    band after its bias add when `relu`. kernels and bias may be a slice of
+    a layer's output channels, and out the matching slice."""
     kh, kw, cin, cout = kernels.shape
     wp = xb.shape[2] + 2 * pad
     oh, ow = out.shape[1:3]
@@ -200,8 +208,10 @@ def _forward_part(xb: np.ndarray, kernels: np.ndarray, bias: np.ndarray, pad: in
             acc = T.matmul(taps[:m], k_rows[0])
             for i in range(1, kh):
                 acc += T.matmul(taps[i * stride:i * stride + m], k_rows[i])
-            np.add(_unpad(acc, no, nb, wp, slice(None), slice(ow)), bias,
-                   out=out[b:b + nb, o:o + no])
+            band = out[b:b + nb, o:o + no]
+            np.add(_unpad(acc, no, nb, wp, slice(None), slice(ow)), bias, out=band)
+            if relu:
+                np.maximum(band, 0, out=band)
 
 
 def _backward_part(xb: np.ndarray, ub: np.ndarray, kernels: np.ndarray, pad: int,
@@ -258,10 +268,12 @@ def _split(xb: np.ndarray, oh: int, ow: int, kernels: np.ndarray) -> str:
 
 
 def conv2d_forward(x: np.ndarray, params: dict[str, np.ndarray],
-                   padding: str = "same") -> np.ndarray:
-    """Convolution; a large call is split by `_split` into halves of its
-    output channels, samples or output rows, which write disjoint parts of
-    the output."""
+                   padding: str = "same", activation: str | None = None) -> np.ndarray:
+    """Convolution, followed by ReLU when `activation` is "relu" (the only
+    activation conv layers carry); a large call is split by `_split` into
+    halves of its output channels, samples or output rows, which write and
+    activate disjoint parts of the output."""
+    relu = activation == "relu"
     xb = _as_batch(x, 3, "conv2d input must be [H, W, C] or [N, H, W, C]")
     kernels, bias = params["kernels"], params["bias"]
     kh, kw, cin, cout = kernels.shape
@@ -273,26 +285,29 @@ def conv2d_forward(x: np.ndarray, params: dict[str, np.ndarray],
     out = np.empty((n, oh, ow, cout), dtype=np.result_type(x, kernels, bias))
     split = _split(xb, oh, ow, kernels)
     if split == "whole":
-        _forward_part(xb, kernels, bias, pad, out, 0, oh)
+        _forward_part(xb, kernels, bias, pad, out, 0, oh, relu)
     elif split == "channels":
         T.halves(cout, lambda lo, hi: _forward_part(
-            xb, kernels[..., lo:hi], bias[lo:hi], pad, out[..., lo:hi], 0, oh))
+            xb, kernels[..., lo:hi], bias[lo:hi], pad, out[..., lo:hi], 0, oh, relu))
     elif split == "samples":
         T.halves(n, lambda lo, hi: _forward_part(
-            xb[lo:hi], kernels, bias, pad, out[lo:hi], 0, oh))
+            xb[lo:hi], kernels, bias, pad, out[lo:hi], 0, oh, relu))
     else:
-        T.halves(oh, lambda lo, hi: _forward_part(xb, kernels, bias, pad, out, lo, hi))
+        T.halves(oh, lambda lo, hi: _forward_part(xb, kernels, bias, pad, out, lo, hi, relu))
     return out if x.ndim == 4 else out[0]
 
 
 def conv2d_backward(x: np.ndarray, params: dict[str, np.ndarray], upstream: np.ndarray,
-                    padding: str = "same", need_input: bool = True) -> dict[str, np.ndarray]:
+                    padding: str = "same", need_input: bool = True,
+                    activated: np.ndarray | None = None) -> dict[str, np.ndarray]:
     """Gradients for kernels, bias and, unless `need_input` is false, the
-    input. Bias grad is the per-channel sum of the upstream gradient. A large
-    call is split into halves of its input channels, which give disjoint
-    slices of both gradients, or, where `_split` picks samples, into halves
-    of the samples: each half then sums its own kernel gradient, and the
-    second half's sum is added to the first's."""
+    input. With `activated`, the output of a forward with ReLU, upstream is
+    first gated to where activated > 0 (ReLU's gradient). Bias grad is the
+    per-channel sum of the gated upstream. A large call is split into halves
+    of its input channels, which give disjoint slices of both gradients, or,
+    where `_split` picks samples, into halves of the samples: each half then
+    gates its own samples and sums its own kernel gradient, and the second
+    half's sum is added to the first's."""
     xb = _as_batch(x, 3, "conv2d input must be [H, W, C] or [N, H, W, C]")
     kernels = params["kernels"]
     kh, kw, cin, cout = kernels.shape
@@ -301,24 +316,35 @@ def conv2d_backward(x: np.ndarray, params: dict[str, np.ndarray], upstream: np.n
     if upstream.shape != x.shape[:-3] + (oh, ow, cout):
         raise ShapeError(f"conv2d upstream shape {upstream.shape} != forward output "
                          f"{x.shape[:-3] + (oh, ow, cout)}")
+    if activated is not None and activated.shape != upstream.shape:
+        raise ShapeError(f"conv2d activated output {activated.shape} vs upstream "
+                         f"{upstream.shape}")
     ub = upstream if x.ndim == 4 else upstream[None]
+    if activated is None:
+        gated = ub
+        gated_part = lambda lo, hi: ub[lo:hi]
+    else:
+        act = activated if x.ndim == 4 else activated[None]
+        gated = np.empty(ub.shape, dtype=ub.dtype)
+        gated_part = lambda lo, hi: T.gate(act[lo:hi] > 0, ub[lo:hi], out=gated[lo:hi])
     pad = (kh - 1) // 2 if padding == "same" else 0
     d_x = np.empty(xb.shape, dtype=np.result_type(upstream, kernels)) if need_input else None
     split = _split(xb, oh, ow, kernels)
     if split == "whole":
-        d_k = _backward_part(xb, ub, kernels, pad, d_x)
+        d_k = _backward_part(xb, gated_part(0, n), kernels, pad, d_x)
     elif split == "samples":
         d_k, second = T.halves(n, lambda lo, hi: _backward_part(
-            xb[lo:hi], ub[lo:hi], kernels, pad, None if d_x is None else d_x[lo:hi]))
+            xb[lo:hi], gated_part(lo, hi), kernels, pad, None if d_x is None else d_x[lo:hi]))
         d_k += second
     else:
         d_k = np.empty(kernels.shape, dtype=np.result_type(x, upstream))
+        u = gated_part(0, n)
 
         def half(lo, hi):
-            d_k[:, :, lo:hi] = _backward_part(xb[..., lo:hi], ub, kernels[:, :, lo:hi], pad,
+            d_k[:, :, lo:hi] = _backward_part(xb[..., lo:hi], u, kernels[:, :, lo:hi], pad,
                                               None if d_x is None else d_x[..., lo:hi])
         T.halves(cin, half)
-    grads = {"kernels": d_k, "bias": _rows(upstream).sum(axis=0)}
+    grads = {"kernels": d_k, "bias": _rows(gated).sum(axis=0)}
     if need_input:
         grads["input"] = d_x if x.ndim == 4 else d_x[0]
     return grads
@@ -332,35 +358,70 @@ def _windows(x: np.ndarray, oh: int, ow: int) -> list[np.ndarray]:
     return [x[..., di:2 * oh:2, dj:2 * ow:2, :] for di in (0, 1) for dj in (0, 1)]
 
 
+# A max-pool call splits like a conv call of POOL_WEIGHT multiply-adds per
+# input element, so from T.SPLIT_MIN // POOL_WEIGHT elements on. Timed on the
+# stock pools at 4 samples, the split won from 28x28x128 (401K elements) up
+# and lost at 12x12x256 (147K).
+POOL_WEIGHT = 4
+
+
+def _pool_halves(n: int, size: int, part) -> None:
+    """part(lo, hi) over samples lo..hi-1 of a max-pool call of n samples
+    and `size` input elements: split by T.halves at two samples or more
+    once the call is large enough, else whole on the calling thread."""
+    if n > 1 and size * POOL_WEIGHT >= T.SPLIT_MIN:
+        T.halves(n, part)
+    else:
+        part(0, n)
+
+
 def maxpool2d_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Returns (pooled, indices); indices record the winning position 0..3
     within each window (row-major, ties to the lowest index). A window
-    holding NaN pools to NaN."""
-    if x.ndim not in (3, 4):
-        raise ShapeError(f"maxpool input must be [H, W, C] or [N, H, W, C], got shape {x.shape}")
-    h, w = x.shape[-3:-1]
+    holding NaN pools to NaN. Both outputs are allocated here; a large batch
+    is split into halves of its samples, each filling its own slices."""
+    xb = _as_batch(x, 3, "maxpool input must be [H, W, C] or [N, H, W, C]")
+    n, h, w, ch = xb.shape
     if h < 2 or w < 2:
         raise ShapeError(f"maxpool needs H, W >= 2, got {h}x{w}")
-    a, b, c, d = _windows(x, h // 2, w // 2)
-    out = np.maximum(np.maximum(a, b), np.maximum(c, d))
-    # first match wins: idx = 0 if a hit, else 1 if b hit, else 2 if c hit, else 3
-    idx = (c != out).astype(np.uint8)
-    idx += 1
-    idx *= b != out
-    idx += 1
-    idx *= a != out
-    return out, idx
+    oh, ow = h // 2, w // 2
+    out = np.empty((n, oh, ow, ch), dtype=x.dtype)
+    idx = np.empty(out.shape, dtype=np.uint8)
+
+    def part(lo, hi):
+        a, b, c, d = _windows(xb[lo:hi], oh, ow)
+        o, i = out[lo:hi], idx[lo:hi]
+        np.maximum(a, b, out=o)
+        np.maximum(o, np.maximum(c, d), out=o)
+        # first match wins: idx = 0 if a hit, else 1 if b hit, else 2 if c hit, else 3
+        np.not_equal(c, o, out=i)
+        i += 1
+        i *= b != o
+        i += 1
+        i *= a != o
+
+    _pool_halves(n, xb.size, part)
+    return (out, idx) if x.ndim == 4 else (out[0], idx[0])
 
 
 def maxpool2d_backward(indices: np.ndarray, upstream: np.ndarray,
                        input_shape: tuple[int, ...]) -> np.ndarray:
-    """Route each upstream value to its recorded argmax position."""
-    if indices.shape != upstream.shape:
-        raise ShapeError(f"maxpool indices {indices.shape} vs upstream {upstream.shape}")
-    oh, ow = upstream.shape[-3:-1]
+    """Route each upstream value to its recorded argmax position; a large
+    batch is split into halves of its samples, as in the forward."""
+    if indices.shape != upstream.shape or len(input_shape) != upstream.ndim:
+        raise ShapeError(f"maxpool indices {indices.shape} vs upstream {upstream.shape} "
+                         f"and input {tuple(input_shape)}")
+    ub = _as_batch(upstream, 3, "maxpool upstream must be [H, W, C] or [N, H, W, C]")
+    ib = indices if indices.ndim == 4 else indices[None]
+    oh, ow = ub.shape[1:3]
     d_x = np.zeros(input_shape, dtype=upstream.dtype)
-    for k, window in enumerate(_windows(d_x, oh, ow)):
-        window[...] = T.gate(indices == k, upstream)
+    db = d_x if d_x.ndim == 4 else d_x[None]
+
+    def part(lo, hi):
+        for k, window in enumerate(_windows(db[lo:hi], oh, ow)):
+            T.gate(ib[lo:hi] == k, ub[lo:hi], out=window)
+
+    _pool_halves(len(db), db.size, part)
     return d_x
 
 

@@ -154,9 +154,11 @@ def lstm_spec(cfg: LstmConfig) -> ModelSpec:
 
 class _Kind(NamedTuple):
     """What the model needs of one layer kind. forward(spec, params, x, mode,
-    rng) returns the pre-activation output and the cache backward reads;
-    backward(spec, params, cache, d_out, need_input) returns the parameter
-    gradients plus, when need_input, the input gradient under "input".
+    rng) returns the output and the cache backward reads; the output is
+    pre-activation unless `own_relu`. backward(spec, params, cache, d_out,
+    need_input) returns the parameter gradients plus, when need_input, the
+    input gradient under "input". A kind with `own_relu` applies its spec's
+    ReLU in forward, and backward gates d_out with ReLU's gradient itself.
     Layer functions are looked up when called (`L.conv2d_forward(...)`), so
     module-level replacements such as timing wrappers see every call."""
     label: str
@@ -164,11 +166,19 @@ class _Kind(NamedTuple):
     init: Callable              # (parameter shapes, rng) -> parameters
     forward: Callable
     backward: Callable
+    own_relu: bool = False
 
 
 def _no_params(*_) -> dict:
     """Shapes and initializer of a kind without parameters."""
     return {}
+
+
+def _conv_forward(s: LayerSpec, p, x, mode, rng):
+    """Convolution with the spec's activation; the cache keeps the input and,
+    for ReLU's gradient gate, the activated output."""
+    out = L.conv2d_forward(x, p, s.padding, s.activation)
+    return out, (x, out if s.activation == "relu" else None)
 
 
 def _lstm_shapes(layer: LayerSpec) -> dict[str, tuple[int, ...]]:
@@ -183,8 +193,10 @@ _KINDS = {
         lambda s: {"kernels": (3, 3, s.input_shape[2], s.output_shape[2]),
                    "bias": (s.output_shape[2],)},
         lambda shapes, rng: L.init_conv(*shapes["kernels"], rng),
-        lambda s, p, x, mode, rng: (L.conv2d_forward(x, p, s.padding), x),
-        lambda s, p, x, d, need: L.conv2d_backward(x, p, d, s.padding, need_input=need)),
+        _conv_forward,
+        lambda s, p, cache, d, need: L.conv2d_backward(
+            cache[0], p, d, s.padding, need_input=need, activated=cache[1]),
+        own_relu=True),
     "maxpool": _Kind(
         "MaxPooling2D", _no_params, _no_params,
         lambda s, p, x, mode, rng: L.maxpool2d_forward(x),
@@ -279,10 +291,11 @@ def _check_input(model: SequentialModel, x: np.ndarray) -> None:
 def _forward(model: SequentialModel, x: np.ndarray, mode: str,
              rng: np.random.Generator | None, keep_caches: bool = False
              ) -> tuple[np.ndarray, list | None]:
-    """Layer-by-layer forward over one sample or a stacked batch, each
-    layer's activation applied after it (ReLU in place: the kinds that
-    carry it return a fresh array). With `keep_caches`, also returns one
-    (cache, activated output) pair per layer for backward(); ReLU's
+    """Layer-by-layer forward over one sample or a stacked batch. Each
+    layer's activation is applied after it (ReLU in place: the kinds that
+    carry it return a fresh array), except for kinds with `own_relu`, which
+    apply their ReLU inside the layer call. With `keep_caches`, also returns
+    one (cache, activated output) pair per layer for backward(); ReLU's
     gradient gate reads out > 0, which is pre > 0. Without, each layer's
     input is freed as soon as the next layer has it. `mode` is "train" or
     "infer"; it is checked here, once, for every layer kind."""
@@ -292,8 +305,9 @@ def _forward(model: SequentialModel, x: np.ndarray, mode: str,
     caches = [] if keep_caches else None
     out = x
     for spec, params in zip(model.spec.layers, model.params):
-        out, cache = _KINDS[spec.kind].forward(spec, params, out, mode, rng)
-        if spec.activation == "relu":
+        kind = _KINDS[spec.kind]
+        out, cache = kind.forward(spec, params, out, mode, rng)
+        if spec.activation == "relu" and not kind.own_relu:
             out = T.relu(out, out=out)
         elif spec.activation == "softmax":
             out = T.softmax(out)
@@ -326,26 +340,27 @@ def backward(model: SequentialModel, caches: list, d_logits: np.ndarray,
     cross-entropy), so the last activation is not re-differentiated here.
     With `grads` (one dict per layer), each layer's gradients are added into
     it in place as soon as they exist, so no second full gradient set is
-    built. The first layer's input gradient is never computed. Backward
-    consumes `caches`: each layer's entry is set to None as its backward
-    starts, so the activations are freed as the pass goes.
+    built; one T.halves call adds each layer's T.BLOCK-element blocks. The
+    first layer's input gradient is never computed. Backward consumes
+    `caches`: each layer's entry is set to None as its backward starts, so
+    the activations are freed as the pass goes.
     """
     grads = [dict() for _ in model.params] if grads is None else grads
     d_out = d_logits
     for li in range(len(model.spec.layers) - 1, -1, -1):
         spec, params, (cache, out) = model.spec.layers[li], model.params[li], caches[li]
+        kind = _KINDS[spec.kind]
         caches[li] = None
-        if spec.activation == "relu":
+        if spec.activation == "relu" and not kind.own_relu:
             d_out = T.relu_backward(out, d_out)
         del out
-        g = _KINDS[spec.kind].backward(spec, params, cache, d_out, li > 0)
+        g = kind.backward(spec, params, cache, d_out, li > 0)
         d_out = g.pop("input", None)
-        for key, gk in g.items():
-            if key in grads[li]:
-                grads[li][key] += gk
-            else:
-                grads[li][key] = gk
-        g = gk = None  # not kept alive through the next layer's backward
+        acc = grads[li]
+        sums = [b for key, gk in g.items() if key in acc for b in T.blocks(acc[key], gk)]
+        acc.update({key: np.ascontiguousarray(gk) for key, gk in g.items() if key not in acc})
+        T.halves(len(sums), lambda lo, hi: [np.add(a, b, out=a) for a, b in sums[lo:hi]])
+        g = sums = None  # not kept alive through the next layer's backward
     return grads
 
 

@@ -89,9 +89,9 @@ def halves(n: int, fn) -> list:
     second, and both have finished when this returns. A call made from
     inside a half, or with no worker, runs the same two halves in turn on
     the calling thread. An exception from either half is raised here, with
-    its type, once both have finished. The worker may run only numpy ops and
-    `matmul`: the benchmark's tracer attributes every other leafnet call to
-    the thread that makes it."""
+    its type, once both have finished. The worker may run only numpy ops,
+    `matmul` and `gate`: the benchmark's tracer attributes every other
+    leafnet call to the thread that makes it."""
     if n < 2:
         return [fn(0, n)]
     mid = n // 2
@@ -122,6 +122,20 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
 # the handoff to the worker costs about as much as that much work.
 SPLIT_MIN = 1 << 20
 
+# Elements per block of an elementwise pass over a set of parameter-shaped
+# tensors (Adam, the gradient sum and its scale). Whole tensors stream
+# through memory once per operation; in 64K-element blocks, which stay in
+# cache across a pass's operations, one thread took 36-40 ms per stock CNN
+# Adam step against 58 ms whole. `halves` splits the list of blocks.
+BLOCK = 1 << 16
+
+
+def blocks(*arrays: np.ndarray) -> list[list[np.ndarray]]:
+    """Matching flat slices of at most BLOCK elements of equal-size arrays;
+    the slices of a C-contiguous array are views of it."""
+    flat = [a.reshape(-1) for a in arrays]
+    return [[a[s:s + BLOCK] for a in flat] for s in range(0, flat[0].size, BLOCK)]
+
 
 def matmul_halves(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """matmul(a, b) with the larger output dimension split by `halves`, once
@@ -150,11 +164,13 @@ def relu_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     return gate(x > 0, upstream)
 
 
-def gate(keep: np.ndarray, x: np.ndarray) -> np.ndarray:
+def gate(keep: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """np.where(keep, x, 0), bit for bit (NaN, -0.0 and inf included), as an
-    AND of x's unsigned words with a 0 / all-ones mask: no per-element branch."""
+    AND of x's unsigned words with a 0 / all-ones mask: no per-element branch.
+    With `out` (x's shape and dtype, any strides, not overlapping x), the
+    mask and then the result are written there."""
     word = np.dtype(f"u{x.dtype.itemsize}")
-    mask = np.negative(keep, dtype=word)
+    mask = np.negative(keep, dtype=word, out=None if out is None else out.view(word))
     return np.bitwise_and(x.view(word), mask, out=mask).view(x.dtype)
 
 

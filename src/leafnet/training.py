@@ -26,11 +26,6 @@ CLIP_EPS = 1e-12  # floor inside -ln(p); irrelevant for any reportable loss
 # peak memory by ~24%.
 MICRO = 4
 
-# Elements per Adam block. Whole tensors stream through memory once per
-# operation; in 64K-element blocks, which stay in cache across the update's
-# passes, one thread took 36-40 ms per stock CNN step against 58 ms whole.
-ADAM_BLOCK = 1 << 16
-
 
 @dataclass
 class TrainConfig:
@@ -84,7 +79,7 @@ def adam_step(params: list[dict[str, np.ndarray]],
     m = b1 m + (1-b1) g, v = b2 v + (1-b2) g g, p -= lr (m/bc1) / (sqrt(v/bc2) + eps),
     so the result is bit-identical to it; two scratch buffers per block
     replace its temporaries. Every tensor is cut into blocks of at most
-    ADAM_BLOCK elements, and T.halves updates the two halves of the list of
+    T.BLOCK elements, and T.halves updates the two halves of the list of
     all blocks."""
     state.t += 1
     b1, b2, lr = state.beta1, state.beta2, state.lr
@@ -99,9 +94,7 @@ def adam_step(params: list[dict[str, np.ndarray]],
                     f"grad shape {gk.shape} != param shape {pk.shape} for {key!r}")
             if not (pk.flags.c_contiguous and mk.flags.c_contiguous and vk.flags.c_contiguous):
                 raise ConfigError(f"{key!r}: Adam updates C-contiguous arrays in place")
-            flat = [a.reshape(-1) for a in (pk, gk, mk, vk)]
-            blocks += [[a[s:s + ADAM_BLOCK] for a in flat]
-                       for s in range(0, pk.size, ADAM_BLOCK)]
+            blocks += T.blocks(pk, gk, mk, vk)
 
     def update(lo, hi):
         for pk, gk, mk, vk in blocks[lo:hi]:
@@ -197,12 +190,15 @@ def train(model: M.SequentialModel, train_set, valid_set,
                 loss_sum += loss
                 correct_sum += correct
             scale = 1.0 / len(inputs)
-            for acc in total:
-                for key in acc:
-                    acc[key] *= scale
+            parts = [b for acc in total for g in acc.values() for (b,) in T.blocks(g)]
+            T.halves(len(parts), lambda lo, hi: [np.multiply(b, scale, out=b)
+                                                 for b in parts[lo:hi]])
             state = adam_step(model.params, total, state)
             seen += len(inputs)
-        val_loss, val_acc = evaluate_loss_acc(model, valid_set)
+        try:
+            val_loss, val_acc = evaluate_loss_acc(model, valid_set)
+        except NumericError as exc:
+            raise TrainingDiverged(epoch, None, f"validation: {exc}") from exc
         history.append(EpochRecord(epoch, loss_sum / seen, correct_sum / seen,
                                    val_loss, val_acc))
     return model, history

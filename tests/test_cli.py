@@ -123,6 +123,16 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "epoch" in err and "batch" in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_found_by_validation_exit_3(self, tree, tmp_path, capsys):
+        """One batch per epoch: the first non-finite values show in
+        validation, which is still a numeric failure of training."""
+        rc = main(["train", str(tree), "--arch", "cnn", *REDUCED,
+                   "--epochs", "2", "--batch", "8", "--lr", "1e30",
+                   "--out", str(tmp_path / "div")])
+        assert rc == 3
+        assert "validation" in capsys.readouterr().err.split("at epoch 1")[0]
+
 
     @pytest.mark.parametrize("lr", ["nan", "inf", "-0.003"])
     def test_bad_learning_rate_exit_2_before_reading_data(self, tmp_path, capsys, lr):

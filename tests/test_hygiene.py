@@ -120,15 +120,21 @@ def test_numpy_is_the_only_hard_dependency():
     assert not hard, f"imports beyond the standard library and numpy: {hard}"
 
 
+def _benchmark_spans():
+    """perfbench/spans.py, loaded read-only from its file, and the leafnet
+    modules its tracer wraps, by short name."""
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans, {mod: importlib.import_module(f"leafnet.{mod}") for mod, _ in spans.TARGETS}
+
+
 def test_benchmark_tracer_installs_and_restores_every_target():
     """perfbench/spans.py wraps package functions by module attribute. A
     target renamed or removed fails its install() here, in Tier-1, instead
     of only in a traced benchmark run; remove() must put every attribute
     back, the dataset's `batches` included."""
-    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    modules = {mod: importlib.import_module(f"leafnet.{mod}") for mod, _ in spans.TARGETS}
+    spans, modules = _benchmark_spans()
     before = {(mod, attr): getattr(modules[mod], attr, None) for mod, attr in spans.TARGETS}
     dataset = modules["data"].synth_dataset(2, 1, seed=0, size=4)
     tracer = spans.Tracer(modules, dataset)
@@ -143,3 +149,39 @@ def test_benchmark_tracer_installs_and_restores_every_target():
                if getattr(modules[mod], attr, None) is not fn]
     assert not changed, f"remove() did not restore: {changed}"
     assert "batches" not in vars(dataset)
+
+
+def test_benchmark_tracer_attributes_a_training_step(monkeypatch):
+    """One seeded training step of a reduced CNN and its validation, traced
+    by the benchmark's tracer with every split forced on: no TraceError,
+    every model pass attributes one call to each of its layers, in order,
+    and tensor.relu and tensor.relu_backward still see calls (the dense
+    layers make them). A change that bypasses a layer wrapper or drops the
+    last caller of a wrapped function fails here, not only in a traced
+    benchmark run."""
+    spans, modules = _benchmark_spans()
+    M, TR, T = modules["models"], modules["training"], modules["tensor"]
+    cfg = M.CnnConfig(input_size=14, channels=3, filters=(4, 6), dense_units=5,
+                      classes=3, conv_dropout=0.25, dense_dropout=0.25)
+    model = M.build_cnn(cfg, seed=1)
+    dataset = modules["data"].synth_dataset(3, 2, seed=5, size=14)
+    monkeypatch.setattr(T, "SPLIT_MIN", 0)
+    tracer = spans.Tracer(modules, dataset)
+    tracer.install()
+    try:
+        TR.train(model, dataset, dataset, TR.TrainConfig(epochs=1, batch_size=6, seed=4))
+    finally:
+        tracer.remove()
+    names = [layer.name for layer in model.spec.layers]
+    passes = {i: s[spans.NAME] for i, s in enumerate(tracer.spans)
+              if s[spans.NAME] in ("models._forward", "models.backward")}
+    layers = {i: [] for i in passes}
+    for s in tracer.spans:
+        if s[spans.LAYER] is not None:
+            layers[s[spans.PARENT]].append(s[spans.LAYER])
+    # two train micro-batches, each forward and backward; two validation forwards
+    assert sorted(passes.values()) == ["models._forward"] * 4 + ["models.backward"] * 2
+    for i, name in passes.items():
+        assert layers[i] == (names if name == "models._forward" else names[::-1]), name
+    calls = {s[spans.NAME] for s in tracer.spans}
+    assert {"tensor.relu", "tensor.relu_backward"} <= calls

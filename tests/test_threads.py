@@ -3,10 +3,10 @@ on the worker.
 
 The benchmark's tracer keeps one span stack and attributes every layer call
 to the thread that makes it, so only the calling thread may enter a layer
-function, a model pass or a training step; the worker runs numpy ops and
-tensor.matmul inside one layer call. The tests here fail on a change that
-breaks that, on a split whose result depends on the worker, and on a nested
-split that deadlocks the one-worker pool.
+function, a model pass or a training step; the worker runs numpy ops,
+tensor.matmul and tensor.gate inside one layer call. The tests here fail on
+a change that breaks that, on a split whose result depends on the worker,
+and on a nested split that deadlocks the one-worker pool.
 """
 
 import ctypes
@@ -130,6 +130,78 @@ def test_split_conv_matches_reference(monkeypatch, split, padding):
             np.testing.assert_allclose(g["input"], np.stack([r[2] for r in refs]), **tight)
         else:
             assert "input" not in g
+
+
+def _specials(a: np.ndarray) -> np.ndarray:
+    """a with +0, -0, NaN, +inf and -inf spread over it."""
+    flat = a.reshape(-1)
+    for k, v in enumerate([0.0, -0.0, np.nan, np.inf, -np.inf]):
+        flat[k::7] = v
+    return a
+
+
+# SPLIT_MIN per way of splitting: "whole" keeps every call on one thread.
+SPLIT_KINDS = {"whole": ("samples", 1 << 62), **{k: (k, 0) for k in SPLITS}}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the products
+@pytest.mark.parametrize("worker", [True, False], ids=["worker", "inline"])
+@pytest.mark.parametrize("padding", ["same", "valid"])
+@pytest.mark.parametrize("split", sorted(SPLIT_KINDS))
+def test_fused_relu_conv_bit_identical(monkeypatch, split, padding, worker):
+    """ReLU inside the conv halves equals relu(conv(x)) byte for byte, and
+    the backward that gates its own upstream equals the conv backward of
+    relu_backward(out, upstream), ±0, NaN and ±inf in the upstream included."""
+    shapes, split_min = SPLIT_KINDS[split]
+    x_shape, k_shape = SPLITS[shapes]
+    rng = np.random.default_rng(54)
+    x = rng.standard_normal(x_shape).astype(np.float32)
+    params = {"kernels": rng.standard_normal(k_shape).astype(np.float32),
+              "bias": rng.standard_normal(k_shape[3]).astype(np.float32)}
+    oh, ow = L.conv_output_hw(x_shape[1], x_shape[2], 3, 3, padding)
+    up = _specials(rng.standard_normal((x_shape[0], oh, ow, k_shape[3])).astype(np.float32))
+    monkeypatch.setattr(T, "SPLIT_MIN", split_min)
+    if not worker:
+        monkeypatch.setattr(T, "_pool", None)
+    assert L._split(x, oh, ow, params["kernels"]) == split
+    out = L.conv2d_forward(x, params, padding, "relu")
+    assert 0 < np.count_nonzero(out) < out.size
+    assert out.tobytes() == T.relu(L.conv2d_forward(x, params, padding)).tobytes()
+    for need_input in (True, False):
+        got = L.conv2d_backward(x, params, up, padding, need_input, activated=out)
+        want = L.conv2d_backward(x, params, T.relu_backward(out, up), padding, need_input)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key].tobytes() == want[key].tobytes(), key
+
+
+@pytest.mark.parametrize("worker", [True, False], ids=["worker", "inline"])
+@pytest.mark.parametrize("case", ["ties", "nan"])
+def test_sample_split_maxpool_bit_identical(monkeypatch, case, worker):
+    """Max-pool split into halves of its samples gives the same pooled
+    values, argmax indices and input gradient as one unsplit call, on
+    windows full of ties and on windows holding NaN, with an odd trailing
+    row and column dropped."""
+    rng = np.random.default_rng(55)
+    x = rng.integers(0, 3, (5, 7, 9, 4)).astype(np.float32)
+    if case == "nan":
+        x = _specials(rng.standard_normal(x.shape).astype(np.float32))
+    out_shape = (5, 3, 4, 4)
+    up = _specials(rng.standard_normal(out_shape).astype(np.float32))
+    if not worker:
+        monkeypatch.setattr(T, "_pool", None)
+    results = []
+    for split_min in (1 << 62, 0):
+        monkeypatch.setattr(T, "SPLIT_MIN", split_min)
+        out, idx = L.maxpool2d_forward(x)
+        d_x = L.maxpool2d_backward(idx, up, x.shape)
+        results.append([a.tobytes() for a in (out, idx, d_x)])
+    assert results[0] == results[1]
+    halves, calls = T.halves, []
+    monkeypatch.setattr(T, "halves", lambda n, fn: calls.append(n) or halves(n, fn))
+    _, idx = L.maxpool2d_forward(x)
+    L.maxpool2d_backward(idx, up, x.shape)
+    assert calls == [5, 5]  # at SPLIT_MIN 0, both calls split their 5 samples
 
 
 def test_concurrent_callers_match_inline(monkeypatch):

@@ -129,11 +129,11 @@ def textbook_adam_step(params, grads, state):
 
 
 def test_blocked_adam_bit_identical_to_textbook():
-    """Tensors of several ADAM_BLOCK blocks, a short last block included,
+    """Tensors of several T.BLOCK blocks, a short last block included,
     and blocks of one tensor on both halves of the split: 22 steps match the
     textbook update bit for bit."""
     rng = np.random.default_rng(41)
-    shapes = {"k": (3, 3, 40, 300), "w": (2 * TR.ADAM_BLOCK + 123,), "b": (7,)}
+    shapes = {"k": (3, 3, 40, 300), "w": (2 * T.BLOCK + 123,), "b": (7,)}
     params = [{k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}]
     ref = [{k: p.copy() for k, p in params[0].items()}]
     state = TR.AdamState.for_params(params, lr=1e-3)
@@ -258,12 +258,14 @@ def test_first_layer_input_gradient_not_computed(monkeypatch):
     split forced on these small layers, every conv backward of the 2-sample
     pass runs two 1-sample halves (the "samples" split of layers._split),
     each with 3 kernel GEMMs and, except on layer 0, 9 input-gradient GEMMs:
-    the products that read the kernel."""
+    the products that read the kernel. Each conv backward is handed the
+    ungated upstream and the layer's activated output, and gates the
+    upstream itself, so the full-gradient reference gets both too."""
     model = toy_cnn()
     model_to_f64(model)
     x = np.random.default_rng(44).standard_normal((2,) + model.spec.input_shape)
     probs, caches = M.forward_train(model, x)
-    first_input = caches[0][0]
+    first_input = caches[0][0][0]
     _, d_logits = TR.categorical_cross_entropy(probs, [1, 2])
     conv_backward, matmul = L.conv2d_backward, T.matmul
     calls = []
@@ -274,9 +276,11 @@ def test_first_layer_input_gradient_not_computed(monkeypatch):
             calls[-1]["reads_kernel"].append(np.shares_memory(b, calls[-1]["params"]["kernels"]))
         return matmul(a, b, out=out)
 
-    def spy(x_in, params, upstream, padding, need_input=True):
-        calls.append({"params": params, "upstream": upstream, "reads_kernel": []})
-        grads = conv_backward(x_in, params, upstream, padding, need_input=need_input)
+    def spy(x_in, params, upstream, padding, need_input=True, activated=None):
+        calls.append({"params": params, "upstream": upstream, "activated": activated,
+                      "reads_kernel": []})
+        grads = conv_backward(x_in, params, upstream, padding, need_input=need_input,
+                              activated=activated)
         calls[-1]["returned"] = set(grads)
         return grads
 
@@ -285,7 +289,8 @@ def test_first_layer_input_gradient_not_computed(monkeypatch):
     monkeypatch.setattr(T, "SPLIT_MIN", 0)
     grads = M.backward(model, caches, d_logits)
     first = next(c for c in calls if c["params"] is model.params[0])
-    full = conv_backward(first_input, model.params[0], first["upstream"], "same")
+    full = conv_backward(first_input, model.params[0], first["upstream"], "same",
+                         activated=first["activated"])
     monkeypatch.undo()
     halves = 2
     assert first["returned"] == {"kernels", "bias"}
@@ -293,6 +298,7 @@ def test_first_layer_input_gradient_not_computed(monkeypatch):
     for c in calls:
         if c is not first:
             assert sorted(c["reads_kernel"]) == [False] * 3 * halves + [True] * 9 * halves
+    assert all(c["activated"] is not None for c in calls)
     assert "input" in full
     for key in ("kernels", "bias"):
         np.testing.assert_array_equal(grads[0][key], full[key])
@@ -378,6 +384,16 @@ class TestTrainLoop:
             TR.train(model, ds, ds, TR.TrainConfig(epochs=1, batch_size=3))
         assert err.value.epoch == 1
         assert err.value.batch == 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    def test_divergence_found_by_validation_names_the_epoch(self):
+        """With one batch per epoch, the step's loss is finite, and the
+        non-finite parameters it leaves first show in validation."""
+        ds = self.make_sets()
+        with pytest.raises(TrainingDiverged, match="validation: .* at epoch 1$") as err:
+            TR.train(toy_cnn(), ds, ds, TR.TrainConfig(epochs=1, batch_size=len(ds), lr=1e30))
+        assert err.value.epoch == 1
+        assert err.value.batch is None
 
 
 class TestEvaluate:
