@@ -13,6 +13,9 @@ Conventions:
     (GATE_ORDER); model files record it and loading checks it
   - parameters are read-only during forward/backward; only the optimizer
     mutates them
+  - conv and dense apply the activation they are given (ReLU; softmax on
+    dense); their backward, given the ReLU output as `activated`, gates the
+    upstream itself. A softmax head's upstream is the loss's d(logits)
 
 Convolution runs as row-tap GEMMs through the shared matmul kernel, so conv
 and dense exercise one numeric hot path. A chunk of n samples is zero-padded
@@ -44,9 +47,9 @@ output right after its bias add, and backward, given the activated output,
 gates the upstream gradient with ReLU's gradient, each sample-split half
 gating its own samples. Max-pool splits its samples at the same boundary,
 so on a sample split the thread that wrote a sample's activations also
-pools them. The dense and LSTM weight products go through T.matmul_halves.
-The worker runs only numpy ops, T.matmul and T.gate, never a layer function
-(see tensor.halves).
+pools them. The dense and LSTM weight products go through T.matmul_halves;
+dense activates on the calling thread. The worker runs only numpy ops,
+T.matmul and T.gate, never a layer function (see tensor.halves).
 
 The LSTM has two entry points. lstm_forward/lstm_backward run the whole
 sequence and are what the models use. lstm_cell_step/lstm_cell_backward are
@@ -428,21 +431,27 @@ def maxpool2d_backward(indices: np.ndarray, upstream: np.ndarray,
 # ---------------------------------------------------------------------------
 # dense
 
-def dense_forward(x: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarray:
+def dense_forward(x: np.ndarray, params: dict[str, np.ndarray],
+                  activation: str | None = None) -> np.ndarray:
+    """x W + b, then the given activation: ReLU (in place) or softmax."""
     weights, bias = params["weights"], params["bias"]
     if x.ndim not in (1, 2) or x.shape[-1] != weights.shape[0]:
         raise ShapeError(f"dense input shape {x.shape} vs weights {weights.shape}")
-    return T.matmul_halves(_rows(x), weights).reshape(x.shape[:-1] + bias.shape) + bias
+    z = T.matmul_halves(_rows(x), weights).reshape(x.shape[:-1] + bias.shape) + bias
+    if activation == "relu":
+        return T.relu(z, out=z)
+    return T.softmax(z) if activation == "softmax" else z
 
 
-def dense_backward(x: np.ndarray, params: dict[str, np.ndarray],
-                   upstream: np.ndarray) -> dict[str, np.ndarray]:
-    """dW = X^T U, db = column sums of U (both over the samples), dX = U W^T."""
+def dense_backward(x: np.ndarray, params: dict[str, np.ndarray], upstream: np.ndarray,
+                   activated: np.ndarray | None = None) -> dict[str, np.ndarray]:
+    """dW = X^T U, db = column sums of U (both over the samples), dX = U W^T,
+    with U the upstream gated by ReLU's gradient when `activated` is given."""
     weights = params["weights"]
     if upstream.shape != x.shape[:-1] + (weights.shape[1],):
         raise ShapeError(f"dense upstream shape {upstream.shape} vs input {x.shape} "
                          f"and weights {weights.shape}")
-    u = _rows(upstream)
+    u = _rows(upstream if activated is None else T.relu_backward(activated, upstream))
     return {
         "weights": T.matmul_halves(_rows(x).T, u),
         "bias": u.sum(axis=0),

@@ -154,19 +154,17 @@ def lstm_spec(cfg: LstmConfig) -> ModelSpec:
 
 class _Kind(NamedTuple):
     """What the model needs of one layer kind. forward(spec, params, x, mode,
-    rng) returns the output and the cache backward reads; the output is
-    pre-activation unless `own_relu`. backward(spec, params, cache, d_out,
-    need_input) returns the parameter gradients plus, when need_input, the
-    input gradient under "input". A kind with `own_relu` applies its spec's
-    ReLU in forward, and backward gates d_out with ReLU's gradient itself.
-    Layer functions are looked up when called (`L.conv2d_forward(...)`), so
-    module-level replacements such as timing wrappers see every call."""
+    rng) returns the output, activated as the spec says, and the cache
+    backward reads. backward(spec, params, cache, d_out, need_input) returns
+    the parameter gradients plus, when need_input, the input gradient under
+    "input". Layer functions are looked up when called
+    (`L.conv2d_forward(...)`), so module-level replacements such as timing
+    wrappers see every call."""
     label: str
     shapes: Callable[[LayerSpec], dict[str, tuple[int, ...]]]
     init: Callable              # (parameter shapes, rng) -> parameters
     forward: Callable
     backward: Callable
-    own_relu: bool = False
 
 
 def _no_params(*_) -> dict:
@@ -174,10 +172,8 @@ def _no_params(*_) -> dict:
     return {}
 
 
-def _conv_forward(s: LayerSpec, p, x, mode, rng):
-    """Convolution with the spec's activation; the cache keeps the input and,
-    for ReLU's gradient gate, the activated output."""
-    out = L.conv2d_forward(x, p, s.padding, s.activation)
+def _cached(s: LayerSpec, x, out):
+    """Conv and dense caches: the input, and the ReLU output for its gate."""
     return out, (x, out if s.activation == "relu" else None)
 
 
@@ -193,10 +189,10 @@ _KINDS = {
         lambda s: {"kernels": (3, 3, s.input_shape[2], s.output_shape[2]),
                    "bias": (s.output_shape[2],)},
         lambda shapes, rng: L.init_conv(*shapes["kernels"], rng),
-        _conv_forward,
+        lambda s, p, x, mode, rng: _cached(
+            s, x, L.conv2d_forward(x, p, s.padding, s.activation)),
         lambda s, p, cache, d, need: L.conv2d_backward(
-            cache[0], p, d, s.padding, need_input=need, activated=cache[1]),
-        own_relu=True),
+            cache[0], p, d, s.padding, need_input=need, activated=cache[1])),
     "maxpool": _Kind(
         "MaxPooling2D", _no_params, _no_params,
         lambda s, p, x, mode, rng: L.maxpool2d_forward(x),
@@ -215,8 +211,8 @@ _KINDS = {
         lambda s: {"weights": (s.input_shape[0], s.output_shape[0]),
                    "bias": (s.output_shape[0],)},
         lambda shapes, rng: L.init_dense(*shapes["weights"], rng),
-        lambda s, p, x, mode, rng: (L.dense_forward(x, p), x),
-        lambda s, p, x, d, need: L.dense_backward(x, p, d)),
+        lambda s, p, x, mode, rng: _cached(s, x, L.dense_forward(x, p, s.activation)),
+        lambda s, p, cache, d, need: L.dense_backward(cache[0], p, d, activated=cache[1])),
     "lstm": _Kind(
         "LSTM", _lstm_shapes,
         lambda shapes, rng: L.init_lstm(shapes["w_input"][0], shapes["w_recurrent"][0], rng),
@@ -233,7 +229,13 @@ def param_shapes(layer: LayerSpec) -> dict[str, tuple[int, ...]]:
 def _initialized(spec: ModelSpec, seed: int) -> SequentialModel:
     """Draw every layer's parameters in layer order from one seeded stream."""
     rng = np.random.default_rng(seed)
-    params = [_KINDS[layer.kind].init(param_shapes(layer), rng) for layer in spec.layers]
+    params = []
+    for layer in spec.layers:
+        try:
+            params.append(_KINDS[layer.kind].init(param_shapes(layer), rng))
+        except (ValueError, MemoryError) as exc:
+            raise ConfigError(
+                f"layer {layer.name}: cannot allocate its parameters: {exc}") from None
     return SequentialModel(spec, params)
 
 
@@ -291,28 +293,20 @@ def _check_input(model: SequentialModel, x: np.ndarray) -> None:
 def _forward(model: SequentialModel, x: np.ndarray, mode: str,
              rng: np.random.Generator | None, keep_caches: bool = False
              ) -> tuple[np.ndarray, list | None]:
-    """Layer-by-layer forward over one sample or a stacked batch. Each
-    layer's activation is applied after it (ReLU in place: the kinds that
-    carry it return a fresh array), except for kinds with `own_relu`, which
-    apply their ReLU inside the layer call. With `keep_caches`, also returns
-    one (cache, activated output) pair per layer for backward(); ReLU's
-    gradient gate reads out > 0, which is pre > 0. Without, each layer's
-    input is freed as soon as the next layer has it. `mode` is "train" or
-    "infer"; it is checked here, once, for every layer kind."""
+    """Layer-by-layer forward over one sample or a stacked batch; each layer
+    applies its own activation. With `keep_caches`, also returns each
+    layer's cache for backward(); without, each layer's input is freed as
+    soon as the next layer has it. `mode` is "train" or "infer"; it is
+    checked here, once, for every layer kind."""
     if mode not in ("train", "infer"):
         raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
     _check_input(model, x)
     caches = [] if keep_caches else None
     out = x
     for spec, params in zip(model.spec.layers, model.params):
-        kind = _KINDS[spec.kind]
-        out, cache = kind.forward(spec, params, out, mode, rng)
-        if spec.activation == "relu" and not kind.own_relu:
-            out = T.relu(out, out=out)
-        elif spec.activation == "softmax":
-            out = T.softmax(out)
+        out, cache = _KINDS[spec.kind].forward(spec, params, out, mode, rng)
         if keep_caches:
-            caches.append((cache, out))
+            caches.append(cache)
     return out, caches
 
 
@@ -337,24 +331,20 @@ def backward(model: SequentialModel, caches: list, d_logits: np.ndarray,
 
     The softmax head is fused with the loss: callers pass the gradient with
     respect to the final pre-softmax logits (probs - onehot for
-    cross-entropy), so the last activation is not re-differentiated here.
-    With `grads` (one dict per layer), each layer's gradients are added into
-    it in place as soon as they exist, so no second full gradient set is
-    built; one T.halves call adds each layer's T.BLOCK-element blocks. The
-    first layer's input gradient is never computed. Backward consumes
-    `caches`: each layer's entry is set to None as its backward starts, so
-    the activations are freed as the pass goes.
+    cross-entropy), which the head takes as it is. With `grads` (one dict
+    per layer), each layer's gradients are added into it in place as soon
+    as they exist, so no second full gradient set is built; one T.halves
+    call adds each layer's T.BLOCK-element blocks. The first layer's input
+    gradient is never computed. Backward consumes `caches`: each layer's
+    entry is set to None as its backward starts, so the activations are
+    freed as the pass goes.
     """
     grads = [dict() for _ in model.params] if grads is None else grads
     d_out = d_logits
     for li in range(len(model.spec.layers) - 1, -1, -1):
-        spec, params, (cache, out) = model.spec.layers[li], model.params[li], caches[li]
-        kind = _KINDS[spec.kind]
+        spec, params, cache = model.spec.layers[li], model.params[li], caches[li]
         caches[li] = None
-        if spec.activation == "relu" and not kind.own_relu:
-            d_out = T.relu_backward(out, d_out)
-        del out
-        g = kind.backward(spec, params, cache, d_out, li > 0)
+        g = _KINDS[spec.kind].backward(spec, params, cache, d_out, li > 0)
         d_out = g.pop("input", None)
         acc = grads[li]
         sums = [b for key, gk in g.items() if key in acc for b in T.blocks(acc[key], gk)]

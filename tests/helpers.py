@@ -53,6 +53,14 @@ def flat_params(model) -> dict:
     return {(li, key): p for li, ps in enumerate(model.params) for key, p in ps.items()}
 
 
+def specials(a: np.ndarray) -> np.ndarray:
+    """a with +0, -0, NaN, +inf and -inf spread over it, in place."""
+    flat = a.reshape(-1)
+    for k, v in enumerate([0.0, -0.0, np.nan, np.inf, -np.inf]):
+        flat[k::7] = v
+    return a
+
+
 def conv_reference(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, up: np.ndarray,
                    padding: str):
     """Direct 3x3 stride-1 convolution of one [H, W, C] sample by nested loops:

@@ -1,3 +1,4 @@
+import math
 import os
 import shutil
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 from helpers import (MALFORMED_MANIFESTS, SHORT_IHDR, make_dataset_tree,
                      rewrite_manifest, write_png)
 from leafnet import data as D
+from leafnet import layers as L
 from leafnet import metrics as MET
 from leafnet import models as M
 from leafnet import tensor as T
@@ -17,6 +19,13 @@ from leafnet.cli import main
 TWO_CLASS = {"blight": (170, 110, 30), "healthy": (40, 200, 40)}
 
 REDUCED = ["--input", "16", "--filters", "4,8", "--dense", "16"]
+
+# Sizes numpy refuses before it allocates anything ("Maximum allowed
+# dimension exceeded"), with the layer whose parameters they size.
+HUGE = "99999999999999999999"
+OVERSIZED = pytest.mark.parametrize("arch, flag, layer", [
+    ("cnn", "--filters", "conv2d"), ("cnn", "--dense", "dense"),
+    ("lstm", "--hidden", "lstm"), ("lstm", "--dense", "dense")])
 
 
 @pytest.fixture
@@ -51,6 +60,29 @@ class TestSummary:
     def test_config_echo_printed(self, capsys):
         main(["summary", "--arch", "cnn"])
         assert capsys.readouterr().out.startswith("leafnet summary:")
+
+    @OVERSIZED
+    def test_oversized_flag_exit_2(self, capsys, arch, flag, layer):
+        rc = main(["summary", "--arch", arch, flag, HUGE])
+        assert rc == 2
+        assert f"error: layer {layer}: cannot allocate" in capsys.readouterr().err
+
+    def test_unallocatable_layer_exit_2(self, capsys, monkeypatch):
+        """numpy's MemoryError for a layer too large to draw (the dense
+        weights behind a 100000-pixel input, 54.5 TiB) names that layer. The
+        draw of any such size is refused here, so nothing that large is
+        requested."""
+        draw = L.he_uniform
+
+        def refusing(shape, fan_in, rng):
+            if math.prod(shape) > 1 << 30:
+                raise MemoryError(f"Unable to allocate an array with shape {shape}")
+            return draw(shape, fan_in, rng)
+
+        monkeypatch.setattr(L, "he_uniform", refusing)
+        rc = main(["summary", "--input", "100000"])
+        assert rc == 2
+        assert "error: layer dense: cannot allocate" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -151,6 +183,15 @@ class TestTrain:
                    "--out", str(tmp_path / "run")])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @OVERSIZED
+    def test_oversized_flag_exit_2(self, tree, tmp_path, capsys, arch, flag, layer):
+        """A size too large to allocate is a typed error naming its layer."""
+        rc = main(["train", str(tree), "--arch", arch, flag, HUGE, "--epochs", "1",
+                   "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert f"error: layer {layer}: cannot allocate" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_negative_lstm_input_exit_2(self, capsys):

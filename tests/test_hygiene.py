@@ -155,9 +155,10 @@ def test_benchmark_tracer_attributes_a_training_step(monkeypatch):
     """One seeded training step of a reduced CNN and its validation, traced
     by the benchmark's tracer with every split forced on: no TraceError,
     every model pass attributes one call to each of its layers, in order,
-    and tensor.relu and tensor.relu_backward still see calls (the dense
-    layers make them). A change that bypasses a layer wrapper or drops the
-    last caller of a wrapped function fails here, not only in a traced
+    and tensor.relu, tensor.softmax and tensor.relu_backward see calls from
+    the dense layer functions and from nowhere else. A change that bypasses
+    a layer wrapper, drops the last caller of a wrapped function or applies
+    an activation outside its layer fails here, not only in a traced
     benchmark run."""
     spans, modules = _benchmark_spans()
     M, TR, T = modules["models"], modules["training"], modules["tensor"]
@@ -183,5 +184,9 @@ def test_benchmark_tracer_attributes_a_training_step(monkeypatch):
     assert sorted(passes.values()) == ["models._forward"] * 4 + ["models.backward"] * 2
     for i, name in passes.items():
         assert layers[i] == (names if name == "models._forward" else names[::-1]), name
-    calls = {s[spans.NAME] for s in tracer.spans}
-    assert {"tensor.relu", "tensor.relu_backward"} <= calls
+    # the dense layers apply their own activations: no other caller may return
+    owner = {"tensor.relu": "layers.dense_forward", "tensor.softmax": "layers.dense_forward",
+             "tensor.relu_backward": "layers.dense_backward"}
+    parents = {name: {tracer.spans[s[spans.PARENT]][spans.NAME] for s in tracer.spans
+                      if s[spans.NAME] == name} for name in owner}
+    assert parents == {name: {layer} for name, layer in owner.items()}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import assert_grads_close, conv_reference, fd_grads
+from helpers import assert_grads_close, conv_reference, fd_grads, specials
 from leafnet import layers as L
 from leafnet import tensor as T
 from leafnet.errors import ConfigError, NumericError, ShapeError
@@ -248,6 +248,29 @@ class TestDense:
         params = {"weights": np.zeros((4, 3), np.float32), "bias": np.zeros(3, np.float32)}
         with pytest.raises(ShapeError):
             L.dense_forward(np.zeros(5, np.float32), params)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the products
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "batched"])
+    def test_activations_bit_identical_to_tensor_ops(self, lead):
+        """The activation a dense layer applies equals T.relu or T.softmax of
+        its linear output, and the backward given the ReLU output equals the
+        backward of T.relu_backward(out, upstream), byte for byte, with ±0,
+        NaN and ±inf in the upstream."""
+        rng = np.random.default_rng(37)
+        x = rng.standard_normal(lead + (6,)).astype(np.float32)
+        params = rand_params(L.init_dense, 6, 9, seed=38, dtype=np.float32)
+        params["bias"] = rng.standard_normal(9).astype(np.float32)
+        up = specials(rng.standard_normal(lead + (9,)).astype(np.float32))
+        out = L.dense_forward(x, params, "relu")
+        assert 0 < np.count_nonzero(out) < out.size
+        assert out.tobytes() == T.relu(L.dense_forward(x, params)).tobytes()
+        assert (L.dense_forward(x, params, "softmax").tobytes()
+                == T.softmax(L.dense_forward(x, params)).tobytes())
+        got = L.dense_backward(x, params, up, activated=out)
+        want = L.dense_backward(x, params, T.relu_backward(out, up))
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key].tobytes() == want[key].tobytes(), key
 
 
 class TestDropout:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import conv_reference
+from helpers import conv_reference, specials
 from leafnet import data as D
 from leafnet import layers as L
 from leafnet import models as M
@@ -132,14 +132,6 @@ def test_split_conv_matches_reference(monkeypatch, split, padding):
             assert "input" not in g
 
 
-def _specials(a: np.ndarray) -> np.ndarray:
-    """a with +0, -0, NaN, +inf and -inf spread over it."""
-    flat = a.reshape(-1)
-    for k, v in enumerate([0.0, -0.0, np.nan, np.inf, -np.inf]):
-        flat[k::7] = v
-    return a
-
-
 # SPLIT_MIN per way of splitting: "whole" keeps every call on one thread.
 SPLIT_KINDS = {"whole": ("samples", 1 << 62), **{k: (k, 0) for k in SPLITS}}
 
@@ -159,7 +151,7 @@ def test_fused_relu_conv_bit_identical(monkeypatch, split, padding, worker):
     params = {"kernels": rng.standard_normal(k_shape).astype(np.float32),
               "bias": rng.standard_normal(k_shape[3]).astype(np.float32)}
     oh, ow = L.conv_output_hw(x_shape[1], x_shape[2], 3, 3, padding)
-    up = _specials(rng.standard_normal((x_shape[0], oh, ow, k_shape[3])).astype(np.float32))
+    up = specials(rng.standard_normal((x_shape[0], oh, ow, k_shape[3])).astype(np.float32))
     monkeypatch.setattr(T, "SPLIT_MIN", split_min)
     if not worker:
         monkeypatch.setattr(T, "_pool", None)
@@ -185,9 +177,9 @@ def test_sample_split_maxpool_bit_identical(monkeypatch, case, worker):
     rng = np.random.default_rng(55)
     x = rng.integers(0, 3, (5, 7, 9, 4)).astype(np.float32)
     if case == "nan":
-        x = _specials(rng.standard_normal(x.shape).astype(np.float32))
+        x = specials(rng.standard_normal(x.shape).astype(np.float32))
     out_shape = (5, 3, 4, 4)
-    up = _specials(rng.standard_normal(out_shape).astype(np.float32))
+    up = specials(rng.standard_normal(out_shape).astype(np.float32))
     if not worker:
         monkeypatch.setattr(T, "_pool", None)
     results = []

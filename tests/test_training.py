@@ -265,7 +265,7 @@ def test_first_layer_input_gradient_not_computed(monkeypatch):
     model_to_f64(model)
     x = np.random.default_rng(44).standard_normal((2,) + model.spec.input_shape)
     probs, caches = M.forward_train(model, x)
-    first_input = caches[0][0][0]
+    first_input = caches[0][0]
     _, d_logits = TR.categorical_cross_entropy(probs, [1, 2])
     conv_backward, matmul = L.conv2d_backward, T.matmul
     calls = []
