@@ -21,13 +21,6 @@ from .errors import LeafnetError, TrainingDiverged
 DEFAULT_SEED = 42
 
 
-def _seed(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
-    return value
-
-
 def _parse_filters(text: str) -> tuple[int, ...]:
     try:
         filters = tuple(int(t) for t in text.split(",") if t.strip())
@@ -64,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--batch", type=int, default=32)
     p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", type=Path, default=Path("."))
 
     p = sub.add_parser("eval", help="write a classification report for a model")

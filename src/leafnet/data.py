@@ -9,16 +9,16 @@ Class ids are assigned by sorting class names in byte order, so the same
 tree gives the same label map on any machine.
 
 PPM (P6) and 8-bit PNG decode natively; JPEG needs pillow (optional extra).
-A PPM or PNG header declaring more than MAX_PIXELS pixels is refused before
-any image data is inflated or copied. The PNG decoder checks every chunk's
-CRC-32 and inflates no more than the header's height * (stride + 1) bytes
-(plus one, to detect longer data). Rows filtered only with None, Sub or Up
-are unfiltered row by row; any Average or Paeth row sends the image through
-an anti-diagonal wavefront. load_image reads an image as a model input of
-the spec's input_shape: [S, S, 3] is an S x S RGB resize, and [T, F] is the
-square RGB resize of T * F / 3 pixels reshaped row-major. Pixel values are
-scaled to [0, 1]. The resize reads only the source samples it interpolates,
-so it costs what its output costs.
+A PPM, PNG or JPEG header declaring more than MAX_PIXELS pixels is refused
+before any image data is inflated, decoded or copied. The PNG decoder checks
+every chunk's CRC-32 and inflates no more than the header's
+height * (stride + 1) bytes (plus one, to detect longer data). Rows filtered
+only with None, Sub or Up are unfiltered row by row; any Average or Paeth
+row sends the image through an anti-diagonal wavefront. load_image reads an
+image as a model input of the spec's input_shape: [S, S, 3] is an S x S RGB
+resize, and [T, F] is the square RGB resize of T * F / 3 pixels reshaped
+row-major. Pixel values are scaled to [0, 1]. The resize reads only the
+source samples it interpolates, so it costs what its output costs.
 
 Model files: magic b"LEAF", u32-LE version, u32-LE manifest length, UTF-8
 JSON manifest (architecture config, label map, layer/parameter order, gate
@@ -57,8 +57,8 @@ SPLITS = ("train", "valid")
 
 # The largest image decoded, in pixels: 2**25 is about 5792 x 5792, above a
 # 24-megapixel camera frame. A header declaring more is a DecodeError, raised
-# before any image data is inflated or copied, so a small file cannot ask
-# for a large allocation.
+# before any image data is inflated, decoded or copied, so a small file
+# cannot ask for a large allocation.
 MAX_PIXELS = 2 ** 25
 
 MAGIC = b"LEAF"
@@ -346,7 +346,10 @@ def _decode_jpeg(path: Path) -> np.ndarray:
             f"{path}: JPEG decoding needs pillow (pip install leafnet[jpeg])") from exc
     try:
         with Image.open(path) as im:
+            _check_size(*im.size, "JPEG", path)
             return np.asarray(im.convert("RGB"), dtype=np.uint8)
+    except DecodeError:
+        raise
     except Exception as exc:
         raise DecodeError(f"{path}: {exc}") from exc
 

@@ -31,9 +31,10 @@ the output width are dropped. A chunk holds max(1, ROWS // (oh*Wp)) samples
 and a band max(1, ROWS // (n*Wp)) output rows, so large layers stream one
 sample through bounded bands and small ones batch samples in one band.
 
-A conv call of at least T.SPLIT_MIN multiply-adds is split in two by
-T.halves: the worker thread runs the first half while the caller runs the
-second, each half chunking and banding its own part. Where the kernels
+A conv call declares its multiply-adds to T.halves, which runs it whole
+below T.SPLIT_MIN and otherwise splits it in two: the worker thread runs the
+first half while the caller runs the second, each half chunking and banding
+its own part. `_split` picks the axis from the shapes. Where the kernels
 hold CHANNEL_SPLIT times the input's values (the 6x6 layers), forward splits
 the output channels and backward the input channels, so each half reads half
 the weights and writes its own slices of the results. Otherwise forward and
@@ -259,12 +260,10 @@ def _backward_part(xb: np.ndarray, ub: np.ndarray, kernels: np.ndarray, pad: int
 CHANNEL_SPLIT = 16
 
 
-def _split(xb: np.ndarray, oh: int, ow: int, kernels: np.ndarray) -> str:
-    """How T.halves splits a conv call: "whole" below T.SPLIT_MIN
-    multiply-adds, "channels" from CHANNEL_SPLIT on, else "samples", or the
-    output "rows" of one sample. The choice depends on the shapes only."""
-    if len(xb) * oh * ow * kernels.size < T.SPLIT_MIN:
-        return "whole"
+def _split(xb: np.ndarray, kernels: np.ndarray) -> str:
+    """The axis along which T.halves splits a conv call, should it split:
+    "channels" from CHANNEL_SPLIT on, else "samples", or the output "rows"
+    of one sample. The choice depends on the shapes only."""
     if kernels.size >= CHANNEL_SPLIT * xb.size:
         return "channels"
     return "samples" if len(xb) > 1 else "rows"
@@ -273,9 +272,9 @@ def _split(xb: np.ndarray, oh: int, ow: int, kernels: np.ndarray) -> str:
 def conv2d_forward(x: np.ndarray, params: dict[str, np.ndarray],
                    padding: str = "same", activation: str | None = None) -> np.ndarray:
     """Convolution, followed by ReLU when `activation` is "relu" (the only
-    activation conv layers carry); a large call is split by `_split` into
-    halves of its output channels, samples or output rows, which write and
-    activate disjoint parts of the output."""
+    activation conv layers carry); T.halves splits a large call into halves
+    of its output channels, samples or output rows, as `_split` picks, which
+    write and activate disjoint parts of the output."""
     relu = activation == "relu"
     xb = _as_batch(x, 3, "conv2d input must be [H, W, C] or [N, H, W, C]")
     kernels, bias = params["kernels"], params["bias"]
@@ -286,17 +285,17 @@ def conv2d_forward(x: np.ndarray, params: dict[str, np.ndarray],
     oh, ow = conv_output_hw(h, w, kh, kw, padding)
     pad = (kh - 1) // 2 if padding == "same" else 0
     out = np.empty((n, oh, ow, cout), dtype=np.result_type(x, kernels, bias))
-    split = _split(xb, oh, ow, kernels)
-    if split == "whole":
-        _forward_part(xb, kernels, bias, pad, out, 0, oh, relu)
-    elif split == "channels":
+    work = n * oh * ow * kernels.size
+    split = _split(xb, kernels)
+    if split == "channels":
         T.halves(cout, lambda lo, hi: _forward_part(
-            xb, kernels[..., lo:hi], bias[lo:hi], pad, out[..., lo:hi], 0, oh, relu))
+            xb, kernels[..., lo:hi], bias[lo:hi], pad, out[..., lo:hi], 0, oh, relu), work)
     elif split == "samples":
         T.halves(n, lambda lo, hi: _forward_part(
-            xb[lo:hi], kernels, bias, pad, out[lo:hi], 0, oh, relu))
+            xb[lo:hi], kernels, bias, pad, out[lo:hi], 0, oh, relu), work)
     else:
-        T.halves(oh, lambda lo, hi: _forward_part(xb, kernels, bias, pad, out, lo, hi, relu))
+        T.halves(oh, lambda lo, hi: _forward_part(
+            xb, kernels, bias, pad, out, lo, hi, relu), work)
     return out if x.ndim == 4 else out[0]
 
 
@@ -332,13 +331,13 @@ def conv2d_backward(x: np.ndarray, params: dict[str, np.ndarray], upstream: np.n
         gated_part = lambda lo, hi: T.gate(act[lo:hi] > 0, ub[lo:hi], out=gated[lo:hi])
     pad = (kh - 1) // 2 if padding == "same" else 0
     d_x = np.empty(xb.shape, dtype=np.result_type(upstream, kernels)) if need_input else None
-    split = _split(xb, oh, ow, kernels)
-    if split == "whole":
-        d_k = _backward_part(xb, gated_part(0, n), kernels, pad, d_x)
-    elif split == "samples":
-        d_k, second = T.halves(n, lambda lo, hi: _backward_part(
-            xb[lo:hi], gated_part(lo, hi), kernels, pad, None if d_x is None else d_x[lo:hi]))
-        d_k += second
+    work = n * oh * ow * kernels.size
+    if _split(xb, kernels) == "samples":
+        d_k, *second = T.halves(n, lambda lo, hi: _backward_part(
+            xb[lo:hi], gated_part(lo, hi), kernels, pad, None if d_x is None else d_x[lo:hi]),
+            work)
+        for part in second:
+            d_k += part
     else:
         d_k = np.empty(kernels.shape, dtype=np.result_type(x, upstream))
         u = gated_part(0, n)
@@ -346,7 +345,7 @@ def conv2d_backward(x: np.ndarray, params: dict[str, np.ndarray], upstream: np.n
         def half(lo, hi):
             d_k[:, :, lo:hi] = _backward_part(xb[..., lo:hi], u, kernels[:, :, lo:hi], pad,
                                               None if d_x is None else d_x[..., lo:hi])
-        T.halves(cin, half)
+        T.halves(cin, half, work)
     grads = {"kernels": d_k, "bias": _rows(gated).sum(axis=0)}
     if need_input:
         grads["input"] = d_x if x.ndim == 4 else d_x[0]
@@ -361,21 +360,11 @@ def _windows(x: np.ndarray, oh: int, ow: int) -> list[np.ndarray]:
     return [x[..., di:2 * oh:2, dj:2 * ow:2, :] for di in (0, 1) for dj in (0, 1)]
 
 
-# A max-pool call splits like a conv call of POOL_WEIGHT multiply-adds per
-# input element, so from T.SPLIT_MIN // POOL_WEIGHT elements on. Timed on the
-# stock pools at 4 samples, the split won from 28x28x128 (401K elements) up
-# and lost at 12x12x256 (147K).
+# A max-pool call declares POOL_WEIGHT multiply-adds per input element to
+# T.halves, so it splits from T.SPLIT_MIN // POOL_WEIGHT elements on. Timed
+# on the stock pools at 4 samples, the split won from 28x28x128 (401K
+# elements) up and lost at 12x12x256 (147K).
 POOL_WEIGHT = 4
-
-
-def _pool_halves(n: int, size: int, part) -> None:
-    """part(lo, hi) over samples lo..hi-1 of a max-pool call of n samples
-    and `size` input elements: split by T.halves at two samples or more
-    once the call is large enough, else whole on the calling thread."""
-    if n > 1 and size * POOL_WEIGHT >= T.SPLIT_MIN:
-        T.halves(n, part)
-    else:
-        part(0, n)
 
 
 def maxpool2d_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -403,7 +392,7 @@ def maxpool2d_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         i += 1
         i *= a != o
 
-    _pool_halves(n, xb.size, part)
+    T.halves(n, part, xb.size * POOL_WEIGHT)
     return (out, idx) if x.ndim == 4 else (out[0], idx[0])
 
 
@@ -424,7 +413,7 @@ def maxpool2d_backward(indices: np.ndarray, upstream: np.ndarray,
         for k, window in enumerate(_windows(db[lo:hi], oh, ow)):
             T.gate(ib[lo:hi] == k, ub[lo:hi], out=window)
 
-    _pool_halves(len(db), db.size, part)
+    T.halves(len(db), part, db.size * POOL_WEIGHT)
     return d_x
 
 

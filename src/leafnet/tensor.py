@@ -10,9 +10,11 @@ whole process, and `halves` runs the first half of a piece of work on one
 persistent worker thread while the caller runs the second. OpenBLAS's own
 helper threads spin after each call, so a second BLAS thread next to the
 worker slows both; with no known setter, or one usable CPU, there is no
-worker. The split points depend only on the work's size, never on timing or
-the CPU count, and the inline path runs the same two halves in turn, so
-results are the same bytes with and without the worker.
+worker. `halves` alone decides whether a call splits, from its item count
+and the multiply-adds its caller declares (SPLIT_MIN). The split points
+depend only on the work's size, never on timing or the CPU count, and the
+inline path runs the same two halves in turn, so results are the same bytes
+with and without the worker.
 """
 
 from __future__ import annotations
@@ -82,8 +84,14 @@ _pool = (ThreadPoolExecutor(1, "leafnet-half", _start_worker)
          and _pin_blas() else None)
 
 
-def halves(n: int, fn) -> list:
-    """[fn(0, n // 2), fn(n // 2, n)], or [fn(0, n)] when n < 2.
+# Multiply-adds below which a call runs whole, unsplit: the handoff to the
+# worker costs about as much as that much work.
+SPLIT_MIN = 1 << 20
+
+
+def halves(n: int, fn, work: int | None = None) -> list:
+    """[fn(0, n // 2), fn(n // 2, n)], or [fn(0, n)] when n < 2 or when
+    `work`, the call's multiply-adds, is given and below SPLIT_MIN.
 
     The first half runs on the worker thread while the caller runs the
     second, and both have finished when this returns. A call made from
@@ -92,7 +100,7 @@ def halves(n: int, fn) -> list:
     its type, once both have finished. The worker may run only numpy ops,
     `matmul` and `gate`: the benchmark's tracer attributes every other
     leafnet call to the thread that makes it."""
-    if n < 2:
+    if n < 2 or (work is not None and work < SPLIT_MIN):
         return [fn(0, n)]
     mid = n // 2
     if _pool is None or getattr(_inside, "busy", False):
@@ -118,10 +126,6 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     return a @ b if out is None else np.matmul(a, b, out=out)
 
 
-# Multiply-adds below which a product or a conv call runs whole, unsplit:
-# the handoff to the worker costs about as much as that much work.
-SPLIT_MIN = 1 << 20
-
 # Elements per block of an elementwise pass over a set of parameter-shaped
 # tensors (Adam, the gradient sum and its scale). Whole tensors stream
 # through memory once per operation; in 64K-element blocks, which stay in
@@ -138,16 +142,17 @@ def blocks(*arrays: np.ndarray) -> list[list[np.ndarray]]:
 
 
 def matmul_halves(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """matmul(a, b) with the larger output dimension split by `halves`, once
-    the product reaches SPLIT_MIN multiply-adds. Each output element is still
-    one product over the whole inner dimension."""
-    if a.ndim != 2 or b.ndim != 2 or a.size * b.shape[1] < SPLIT_MIN:
+    """matmul(a, b) with the larger output dimension split by `halves`, given
+    the product's a.size * b.shape[1] multiply-adds. Each output element is
+    still one product over the whole inner dimension."""
+    if a.ndim != 2 or b.ndim != 2:
         return matmul(a, b)
     out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
+    work = a.size * b.shape[1]
     if a.shape[0] >= b.shape[1]:
-        halves(a.shape[0], lambda lo, hi: matmul(a[lo:hi], b, out=out[lo:hi]))
+        halves(a.shape[0], lambda lo, hi: matmul(a[lo:hi], b, out=out[lo:hi]), work)
     else:
-        halves(b.shape[1], lambda lo, hi: matmul(a, b[:, lo:hi], out=out[:, lo:hi]))
+        halves(b.shape[1], lambda lo, hi: matmul(a, b[:, lo:hi], out=out[:, lo:hi]), work)
     return out
 
 

@@ -52,6 +52,12 @@ class EpochRecord:
     val_acc: float
 
 
+# Adam's moment decay rates and the epsilon added to the denominator.
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators, one pair per parameter tensor."""
@@ -59,9 +65,6 @@ class AdamState:
     v: list[dict[str, np.ndarray]]
     t: int = 0
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
     def for_params(cls, params: list[dict[str, np.ndarray]],
@@ -82,9 +85,8 @@ def adam_step(params: list[dict[str, np.ndarray]],
     T.BLOCK elements, and T.halves updates the two halves of the list of
     all blocks."""
     state.t += 1
-    b1, b2, lr = state.beta1, state.beta2, state.lr
-    bc1 = 1.0 - b1 ** state.t
-    bc2 = 1.0 - b2 ** state.t
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
     blocks = []
     for p, g, m, v in zip(params, grads, state.m, state.v):
         for key in p:
@@ -99,18 +101,18 @@ def adam_step(params: list[dict[str, np.ndarray]],
     def update(lo, hi):
         for pk, gk, mk, vk in blocks[lo:hi]:
             step, denom = np.empty_like(mk), np.empty_like(vk)
-            mk *= b1
-            np.multiply(gk, 1.0 - b1, out=step)
+            mk *= BETA1
+            np.multiply(gk, 1.0 - BETA1, out=step)
             mk += step
-            vk *= b2
-            np.multiply(gk, 1.0 - b2, out=step)
+            vk *= BETA2
+            np.multiply(gk, 1.0 - BETA2, out=step)
             step *= gk
             vk += step
             np.divide(vk, bc2, out=denom)
             np.sqrt(denom, out=denom)
-            denom += state.epsilon
+            denom += EPSILON
             np.divide(mk, bc1, out=step)
-            step *= lr
+            step *= state.lr
             step /= denom
             pk -= step
 

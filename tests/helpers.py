@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import struct
+import sys
+import types
 import zlib
 from pathlib import Path
 
@@ -110,6 +113,38 @@ def reference_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 def write_ppm(path: Path, arr: np.ndarray) -> None:
     h, w, _ = arr.shape
     path.write_bytes(b"P6\n%d %d\n255\n" % (w, h) + arr.astype(np.uint8).tobytes())
+
+
+def write_jpeg_stub(path: Path) -> Path:
+    """A file that decode_image routes to the JPEG decoder (its first two
+    bytes are the JPEG start-of-image marker); only a stand-in pillow reads
+    the rest."""
+    path.write_bytes(b"\xff\xd8\xff\xe0" + bytes(16))
+    return path
+
+
+def stand_in_pillow(monkeypatch, size: tuple[int, int], pixels=None, fail: str | None = None):
+    """Install a stand-in `PIL` package for the test. `Image.open` gives an
+    image declaring `size` (width, height) whose convert() returns `pixels`;
+    `fail` ("open" or "convert") names the step that raises OSError instead.
+    Returns the list of modes convert() was called with."""
+    converted = []
+
+    def convert(mode):
+        converted.append(mode)
+        if fail == "convert":
+            raise OSError("image file is truncated")
+        return pixels
+
+    def open_image(path):
+        if fail == "open":
+            raise OSError("cannot identify image file")
+        return contextlib.nullcontext(types.SimpleNamespace(size=size, convert=convert))
+
+    pil = types.ModuleType("PIL")
+    pil.Image = types.SimpleNamespace(open=open_image)
+    monkeypatch.setitem(sys.modules, "PIL", pil)
+    return converted
 
 
 PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"

@@ -2,12 +2,13 @@ import math
 import os
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from helpers import (MALFORMED_MANIFESTS, SHORT_IHDR, make_dataset_tree,
-                     rewrite_manifest, write_png)
+                     rewrite_manifest, stand_in_pillow, write_jpeg_stub, write_png)
 from leafnet import data as D
 from leafnet import layers as L
 from leafnet import metrics as MET
@@ -329,6 +330,19 @@ class TestPredict:
         assert main(["predict", str(model), str(short)]) == 2
         assert "short.png" in capsys.readouterr().err
 
+    def test_jpeg_without_pillow_exit_2(self, tree, tmp_path, capsys, monkeypatch):
+        model = train_fixture_model(tree, tmp_path / "run", epochs=1)
+        monkeypatch.setitem(sys.modules, "PIL", None)
+        assert main(["predict", str(model), str(write_jpeg_stub(tmp_path / "x.jpg"))]) == 2
+        assert "x.jpg: JPEG decoding needs pillow" in capsys.readouterr().err
+
+    def test_oversized_jpeg_exit_2(self, tree, tmp_path, capsys, monkeypatch):
+        model = train_fixture_model(tree, tmp_path / "run", epochs=1)
+        converted = stand_in_pillow(monkeypatch, (20000, 20000))
+        assert main(["predict", str(model), str(write_jpeg_stub(tmp_path / "x.jpg"))]) == 2
+        assert "x.jpg: JPEG size 20000x20000 is too large" in capsys.readouterr().err
+        assert converted == []
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_fifo_model_exit_2(self, tree, tmp_path, capsys):
         fifo = tmp_path / "pipe.leaf"
@@ -396,10 +410,14 @@ class TestUsage:
             main(["summary", "--arch", "cnn", "--filters", "a,b"])
         assert err.value.code == 2
 
-    def test_negative_seed_exits_2(self, tmp_path):
-        with pytest.raises(SystemExit) as err:
-            main(["train", str(tmp_path), "--seed", "-3"])
-        assert err.value.code == 2
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        """TrainConfig alone checks the seed, before the dataset is scanned
+        and before --out is created."""
+        rc = main(["train", str(tmp_path / "nowhere"), "--seed", "-3",
+                   "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "error: seed must be >= 0, got -3" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.skipif(shutil.which("leafnet") is None,
                         reason="console script not installed")

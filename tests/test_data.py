@@ -1,12 +1,14 @@
 import os
 import struct
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import (MALFORMED_MANIFESTS, SHORT_IHDR, declaring, make_dataset_tree,
-                     reference_resize, rewrite_manifest, write_png, write_ppm)
+                     reference_resize, rewrite_manifest, stand_in_pillow, write_jpeg_stub,
+                     write_png, write_ppm)
 from leafnet import data as D
 from leafnet import layers as L
 from leafnet import models as M
@@ -142,6 +144,47 @@ class TestDecoding:
         write_png(tmp_path / "short.png", np.zeros((4, 4, 3), np.uint8), ihdr=SHORT_IHDR)
         with pytest.raises(DecodeError, match="short.png.*IHDR"):
             D.load_image(tmp_path / "short.png", (128, 128, 3))
+
+    def test_jpeg_decoded_by_pillow(self, tmp_path, monkeypatch):
+        """The JPEG path with a stand-in pillow: decode_image returns what
+        convert("RGB") gives, and load_image resizes and scales it exactly
+        as it does the same pixels read from a PPM."""
+        pixels = np.random.default_rng(3).integers(0, 256, (5, 7, 3)).astype(np.uint8)
+        converted = stand_in_pillow(monkeypatch, (7, 5), pixels)
+        jpeg = write_jpeg_stub(tmp_path / "leaf.jpg")
+        np.testing.assert_array_equal(D.decode_image(jpeg), pixels)
+        write_ppm(tmp_path / "leaf.ppm", pixels)
+        got = D.load_image(jpeg, (8, 8, 3))
+        assert got.tobytes() == D.load_image(tmp_path / "leaf.ppm", (8, 8, 3)).tobytes()
+        assert converted == ["RGB", "RGB"]
+
+    @pytest.mark.parametrize("fail, message", [("open", "cannot identify image file"),
+                                               ("convert", "image file is truncated")])
+    def test_jpeg_pillow_error_names_file(self, tmp_path, monkeypatch, fail, message):
+        stand_in_pillow(monkeypatch, (4, 4), np.zeros((4, 4, 3), np.uint8), fail=fail)
+        with pytest.raises(DecodeError, match=f"leaf.jpg: {message}"):
+            D.decode_image(write_jpeg_stub(tmp_path / "leaf.jpg"))
+
+    def test_jpeg_without_pillow_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(sys.modules, "PIL", None)
+        with pytest.raises(DecodeError, match="leaf.jpg: JPEG decoding needs pillow"):
+            D.decode_image(write_jpeg_stub(tmp_path / "leaf.jpg"))
+
+    @pytest.mark.parametrize("size", [(20000, 20000), (D.MAX_PIXELS + 1, 1)])
+    def test_oversized_jpeg_rejected_before_convert(self, tmp_path, monkeypatch, size):
+        """A JPEG header over MAX_PIXELS is refused before pillow decodes a
+        pixel, as a PPM or PNG header is; the path is named once."""
+        converted = stand_in_pillow(monkeypatch, size)
+        jpeg = write_jpeg_stub(tmp_path / "big.jpg")
+        with pytest.raises(DecodeError, match="too large") as err:
+            D.decode_image(jpeg)
+        assert converted == []
+        assert str(err.value).count("big.jpg") == 1
+
+    def test_jpeg_at_max_pixels_decoded(self, tmp_path, monkeypatch):
+        converted = stand_in_pillow(monkeypatch, (D.MAX_PIXELS, 1), np.zeros((1, 2, 3), np.uint8))
+        D.decode_image(write_jpeg_stub(tmp_path / "wide.jpg"))
+        assert converted == ["RGB"]
 
     def test_unknown_format_rejected(self, tmp_path):
         (tmp_path / "junk.ppm").write_bytes(b"not an image at all")

@@ -4,8 +4,9 @@ A function, class or constant that nothing in the package references is
 dead code kept alive only by its tests; it is deleted, not kept. The few
 exceptions below are public entry points the acceptance criteria call.
 The package also imports nothing beyond the standard library and numpy,
-save pillow inside the JPEG decoder, and every function the benchmark's
-tracer wraps still exists under its name.
+save pillow inside the JPEG decoder; only tensor.halves reads the split
+gate SPLIT_MIN; and every function the benchmark's tracer wraps still
+exists under its name.
 """
 
 import ast
@@ -95,6 +96,27 @@ def test_allowlist_names_exist_and_are_unused():
     for module, name in ALLOWED:
         assert name in _defined(trees[module]), f"{module}.{name} is gone"
         assert name not in _references(module, trees), f"{module}.{name} has a caller now"
+
+
+def test_only_halves_reads_split_min():
+    """Whether a call is large enough to split is decided in one place:
+    callers declare their multiply-adds to tensor.halves, and no other code,
+    in tensor.py or elsewhere, reads SPLIT_MIN (comments aside)."""
+    readers = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{owner.split('.')[0]}.{node.name}"
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                and node.id == "SPLIT_MIN"
+                or isinstance(node, ast.Attribute) and node.attr == "SPLIT_MIN"):
+            readers.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for module, tree in _trees().items():
+        visit(tree, module)
+    assert readers == {"tensor.halves"}, readers
 
 
 def test_numpy_is_the_only_hard_dependency():

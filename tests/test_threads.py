@@ -15,6 +15,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,51 @@ def test_halves_splits_at_the_middle():
     assert T.halves(7, lambda lo, hi: (lo, hi)) == [(0, 3), (3, 7)]
     assert T.halves(1, lambda lo, hi: (lo, hi)) == [(0, 1)]
     assert T.halves(0, lambda lo, hi: (lo, hi)) == [(0, 0)]
+
+
+def test_halves_runs_whole_below_split_min():
+    span = lambda lo, hi: (lo, hi)
+    assert T.halves(8, span, T.SPLIT_MIN - 1) == [(0, 8)]
+    assert T.halves(8, span, T.SPLIT_MIN) == [(0, 4), (4, 8)]
+    assert T.halves(8, span) == [(0, 4), (4, 8)]
+
+
+def test_layer_calls_split_from_split_min_on(monkeypatch):
+    """Conv, max-pool and the split product each declare their multiply-adds
+    to T.halves: a call hands the worker nothing one multiply-add below
+    SPLIT_MIN, and one half at SPLIT_MIN."""
+    submitted = []
+
+    class Recording:
+        def submit(self, fn, lo, hi):
+            submitted.append((lo, hi))
+            done = Future()
+            done.set_result(fn(lo, hi))
+            return done
+
+    rng = np.random.default_rng(56)
+    x = rng.standard_normal((2, 8, 8, 4))
+    params = {"kernels": rng.standard_normal((3, 3, 4, 8)), "bias": np.zeros(8)}
+    up = rng.standard_normal((2, 8, 8, 8))
+    _, idx = L.maxpool2d_forward(x)
+    pooled_up = rng.standard_normal(idx.shape)
+    a, b = rng.standard_normal((6, 5)), rng.standard_normal((5, 4))
+    conv_work = 2 * 8 * 8 * params["kernels"].size
+    calls = {
+        "conv forward": (conv_work, lambda: L.conv2d_forward(x, params)),
+        "conv backward": (conv_work, lambda: L.conv2d_backward(x, params, up)),
+        "max-pool forward": (x.size * L.POOL_WEIGHT, lambda: L.maxpool2d_forward(x)),
+        "max-pool backward": (x.size * L.POOL_WEIGHT,
+                              lambda: L.maxpool2d_backward(idx, pooled_up, x.shape)),
+        "product": (a.size * b.shape[1], lambda: T.matmul_halves(a, b)),
+    }
+    monkeypatch.setattr(T, "_pool", Recording())
+    for name, (work, call) in calls.items():
+        for split_min, halves in ((work + 1, 0), (work, 1)):
+            monkeypatch.setattr(T, "SPLIT_MIN", split_min)
+            submitted.clear()
+            call()
+            assert len(submitted) == halves, (name, split_min)
 
 
 def test_halves_first_half_on_the_worker():
@@ -116,7 +162,7 @@ def test_split_conv_matches_reference(monkeypatch, split, padding):
     oh, ow = L.conv_output_hw(x_shape[1], x_shape[2], 3, 3, padding)
     up = rng.standard_normal((x_shape[0], oh, ow, k_shape[3]))
     monkeypatch.setattr(T, "SPLIT_MIN", 0)
-    assert L._split(x, oh, ow, params["kernels"]) == split
+    assert L._split(x, params["kernels"]) == split
     refs = [conv_reference(x[k], params["kernels"], params["bias"], up[k], padding)
             for k in range(len(x))]
     tight = dict(rtol=1e-12, atol=1e-12)
@@ -132,7 +178,8 @@ def test_split_conv_matches_reference(monkeypatch, split, padding):
             assert "input" not in g
 
 
-# SPLIT_MIN per way of splitting: "whole" keeps every call on one thread.
+# (shapes, SPLIT_MIN) per case: "whole" runs the "samples" shapes below
+# SPLIT_MIN, so T.halves keeps every call on one thread.
 SPLIT_KINDS = {"whole": ("samples", 1 << 62), **{k: (k, 0) for k in SPLITS}}
 
 
@@ -155,7 +202,7 @@ def test_fused_relu_conv_bit_identical(monkeypatch, split, padding, worker):
     monkeypatch.setattr(T, "SPLIT_MIN", split_min)
     if not worker:
         monkeypatch.setattr(T, "_pool", None)
-    assert L._split(x, oh, ow, params["kernels"]) == split
+    assert L._split(x, params["kernels"]) == shapes
     out = L.conv2d_forward(x, params, padding, "relu")
     assert 0 < np.count_nonzero(out) < out.size
     assert out.tobytes() == T.relu(L.conv2d_forward(x, params, padding)).tobytes()
@@ -190,7 +237,8 @@ def test_sample_split_maxpool_bit_identical(monkeypatch, case, worker):
         results.append([a.tobytes() for a in (out, idx, d_x)])
     assert results[0] == results[1]
     halves, calls = T.halves, []
-    monkeypatch.setattr(T, "halves", lambda n, fn: calls.append(n) or halves(n, fn))
+    monkeypatch.setattr(T, "halves",
+                        lambda n, fn, work=None: calls.append(n) or halves(n, fn, work))
     _, idx = L.maxpool2d_forward(x)
     L.maxpool2d_backward(idx, up, x.shape)
     assert calls == [5, 5]  # at SPLIT_MIN 0, both calls split their 5 samples

@@ -116,16 +116,16 @@ class TestAdam:
 def textbook_adam_step(params, grads, state):
     """The allocating Adam update adam_step must reproduce bit for bit."""
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - TR.BETA1 ** state.t
+    bc2 = 1.0 - TR.BETA2 ** state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
         for key in p:
             gk = g[key]
-            m[key] = state.beta1 * m[key] + (1.0 - state.beta1) * gk
-            v[key] = state.beta2 * v[key] + (1.0 - state.beta2) * gk * gk
+            m[key] = TR.BETA1 * m[key] + (1.0 - TR.BETA1) * gk
+            v[key] = TR.BETA2 * v[key] + (1.0 - TR.BETA2) * gk * gk
             m_hat = m[key] / bc1
             v_hat = v[key] / bc2
-            p[key] -= (state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)).astype(p[key].dtype)
+            p[key] -= (state.lr * m_hat / (np.sqrt(v_hat) + TR.EPSILON)).astype(p[key].dtype)
 
 
 def test_blocked_adam_bit_identical_to_textbook():
