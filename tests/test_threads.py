@@ -47,13 +47,9 @@ def test_halves_splits_at_the_middle():
     assert T.halves(7, lambda lo, hi: (lo, hi)) == [(0, 3), (3, 7)]
     assert T.halves(1, lambda lo, hi: (lo, hi)) == [(0, 1)]
     assert T.halves(0, lambda lo, hi: (lo, hi)) == [(0, 0)]
-
-
-def test_halves_runs_whole_below_split_min():
-    span = lambda lo, hi: (lo, hi)
-    assert T.halves(8, span, T.SPLIT_MIN - 1) == [(0, 8)]
-    assert T.halves(8, span, T.SPLIT_MIN) == [(0, 4), (4, 8)]
-    assert T.halves(8, span) == [(0, 4), (4, 8)]
+    # declared work below SPLIT_MIN runs whole
+    assert T.halves(8, lambda lo, hi: (lo, hi), T.SPLIT_MIN - 1) == [(0, 8)]
+    assert T.halves(8, lambda lo, hi: (lo, hi), T.SPLIT_MIN) == [(0, 4), (4, 8)]
 
 
 def test_layer_calls_split_from_split_min_on(monkeypatch):
