@@ -1,13 +1,16 @@
 """Command-line surface: leafnet <summary|train|eval|predict>.
 
 Exit codes: 0 success, 2 usage or input error, 3 numeric failure during
-training. Every run echoes its effective configuration first; all
-randomness derives from --seed.
+training. Defaults live in the config dataclasses, and checks in TrainConfig
+and the spec builders; a flag not given is None and keeps its field's
+default. A run whose configuration passes echoes it first; all randomness
+derives from the seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -18,17 +21,12 @@ from . import models as M
 from . import training as TR
 from .errors import LeafnetError, TrainingDiverged
 
-DEFAULT_SEED = 42
-
 
 def _parse_filters(text: str) -> tuple[int, ...]:
     try:
-        filters = tuple(int(t) for t in text.split(",") if t.strip())
+        return tuple(int(t) for t in text.split(",") if t.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad filter list {text!r}; expected e.g. 32,64,128")
-    if not filters:
-        raise argparse.ArgumentTypeError("filter list is empty")
-    return filters
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,15 +47,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("summary", help="print a model summary table")
     arch_flags(p)
-    p.add_argument("--classes", type=int, default=38)
+    p.add_argument("--classes", type=int)
 
     p = sub.add_parser("train", help="train a model on a dataset")
     p.add_argument("data_root", type=Path)
     arch_flags(p)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", type=Path, default=Path("."))
 
     p = sub.add_parser("eval", help="write a classification report for a model")
@@ -73,43 +71,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _given(value, default):
-    """A flag's value when it was passed (0 included), else the stock value."""
-    return default if value is None else value
+def _config(cls, **flags):
+    """`cls` at its own defaults, but for each flag that was given (0
+    included; a flag left out is None)."""
+    return cls(**{field: v for field, v in flags.items() if v is not None})
 
 
-def _cnn_config(args, classes: int) -> M.CnnConfig:
-    base = M.CnnConfig()
-    return M.CnnConfig(
-        input_size=_given(args.input, base.input_size),
-        filters=_given(args.filters, base.filters),
-        dense_units=_given(args.dense, base.dense_units),
-        classes=classes,
-    )
+# Per --arch: the spec builder, which checks a config, and the model builder.
+_ARCHS = {"cnn": (M.cnn_spec, M.build_cnn), "lstm": (M.lstm_spec, M.build_lstm)}
 
 
-def _lstm_config(args, classes: int) -> M.LstmConfig:
+def _model_config(args, classes: int | None = None) -> M.CnnConfig | M.LstmConfig:
+    if args.arch == "cnn":
+        return _config(M.CnnConfig, input_size=args.input, filters=args.filters,
+                       dense_units=args.dense, classes=classes)
+    # The one check made here: only the CLI knows the image side.
     base = M.LstmConfig()
-    timesteps = _given(args.timesteps, base.timesteps)
-    side = _given(args.input, math.isqrt(base.timesteps * base.features // 3))
+    timesteps = base.timesteps if args.timesteps is None else args.timesteps
+    side = (math.isqrt(base.timesteps * base.features // 3) if args.input is None
+            else args.input)
     values = side * side * 3
     if side < 1 or timesteps < 1 or values % timesteps:
         raise LeafnetError(
             f"--input {side} with --timesteps {timesteps}: both must be >= 1 and "
             f"the {values} values must split into {timesteps} steps")
-    return M.LstmConfig(
-        timesteps=timesteps,
-        features=values // timesteps,
-        hidden=_given(args.hidden, base.hidden),
-        dense_units=_given(args.dense, base.dense_units),
-        classes=classes,
-    )
-
-
-def _build(args, classes: int, seed: int) -> M.SequentialModel:
-    if args.arch == "cnn":
-        return M.build_cnn(_cnn_config(args, classes), seed=seed)
-    return M.build_lstm(_lstm_config(args, classes), seed=seed)
+    return _config(M.LstmConfig, timesteps=timesteps, features=values // timesteps,
+                   hidden=args.hidden, dense_units=args.dense, classes=classes)
 
 
 def _loader_for(model: M.SequentialModel):
@@ -122,22 +109,25 @@ def _echo(command: str, **kv) -> None:
 
 
 def cmd_summary(args) -> int:
-    _echo("summary", arch=args.arch, classes=args.classes)
-    model = _build(args, args.classes, seed=0)
+    model = _ARCHS[args.arch][1](_model_config(args, args.classes), seed=0)
+    _echo("summary", arch=args.arch, classes=model.spec.classes)
     print(M.summary(model))
     return 0
 
 
 def cmd_train(args) -> int:
-    _echo("train", arch=args.arch, data=args.data_root, epochs=args.epochs,
-          batch=args.batch, lr=args.lr, seed=args.seed, out=args.out)
-    config = TR.TrainConfig(epochs=args.epochs, batch_size=args.batch,
-                            lr=args.lr, seed=args.seed)
+    config = _config(TR.TrainConfig, epochs=args.epochs, batch_size=args.batch,
+                     lr=args.lr, seed=args.seed)
+    arch = _model_config(args)
+    check, build = _ARCHS[args.arch]
+    check(arch)     # before the dataset is read; build checks its class count
+    _echo("train", arch=args.arch, data=args.data_root, epochs=config.epochs,
+          batch=config.batch_size, lr=config.lr, seed=config.seed, out=args.out)
     index = D.scan_dataset(args.data_root)
     counts = index.counts()
     print(f"dataset: {counts['train']} train / {counts['valid']} valid / "
           f"{len(index.label_map)} classes")
-    model = _build(args, len(index.label_map), seed=args.seed)
+    model = build(dataclasses.replace(arch, classes=len(index.label_map)), seed=config.seed)
     args.out.mkdir(parents=True, exist_ok=True)
     model.label_map = list(index.label_map)
     loader = _loader_for(model)

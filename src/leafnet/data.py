@@ -260,9 +260,9 @@ def _unfilter_wavefront(lines: np.ndarray, filters: np.ndarray) -> np.ndarray:
     and column in front of the data are the out-of-image neighbours.
 
     Each diagonal adds to itself, in place and mod 256, the predictor of
-    each filter type its rows use, and only of those: counts of the row
-    types up to each row tell which occur. A type that covers the whole
-    diagonal is added as it is; otherwise it is masked to its own rows."""
+    each filter type the image uses. In an image of one type the predictor
+    is added as it is; in one that mixes types, each is masked to its own
+    rows."""
     height, width, channels = lines.shape
     short, long = min(height, width), max(height, width)
     skew = np.zeros((height + width + 1, short + 1, channels), dtype=np.uint8)
@@ -275,10 +275,8 @@ def _unfilter_wavefront(lines: np.ndarray, filters: np.ndarray) -> np.ndarray:
     is_type = filters == np.arange(5)[:, None]      # [type, y]
     # keep[k, y]: every byte of row y is 0xFF if the row uses type k, else 0
     keep = np.repeat(is_type[:, :, None], channels, axis=2).astype(np.uint8) * 255
-    # seen[y][k]: how many of rows 0 .. y-1 use type k
-    seen = np.zeros((height + 1, 5), dtype=np.intp)
-    np.cumsum(is_type.T, axis=0, out=seen[1:])
-    seen = seen.tolist()
+    types = set(filters.tolist())
+    kinds, mixed = sorted(types - {0}), len(types) > 1
     scratch = np.empty((2, short, channels), dtype=np.uint8)
     wide = np.empty((3, short, channels), dtype=np.int16)
     flags = np.empty((2, short, channels), dtype=bool)
@@ -292,10 +290,7 @@ def _unfilter_wavefront(lines: np.ndarray, filters: np.ndarray) -> np.ndarray:
             a, b, first = before, same, d - hi
         c, cur = skew[d, lo:hi + 1], skew[d + 2, lo + 1:hi + 2]
         pred_buf, spare = scratch[:, :n]
-        counts = [end - start for end, start in zip(seen[first + n], seen[first])]
-        for kind in range(1, 5):
-            if not counts[kind]:
-                continue
+        for kind in kinds:
             if kind == 1:
                 pred = a
             elif kind == 2:
@@ -307,7 +302,7 @@ def _unfilter_wavefront(lines: np.ndarray, filters: np.ndarray) -> np.ndarray:
                 np.add(pred, spare, out=pred)
             else:
                 pred = _paeth(a, b, c, wide[:, :n], flags[:, :n], pred_buf)
-            if counts[kind] < n:
+            if mixed:
                 rows = keep[kind, first:first + n]
                 pred = np.bitwise_and(pred, rows if height <= width else rows[::-1],
                                       out=spare)

@@ -37,7 +37,7 @@ class TrainingDiverged(NumericError):
     """Training hit non-finite values; carries the epoch and the batch index,
     which is None when the epoch's validation found them."""
 
-    def __init__(self, epoch: int, batch: int | None, detail: str = "non-finite loss"):
+    def __init__(self, epoch: int, batch: int | None, detail: str):
         self.epoch = epoch
         self.batch = batch
         where = f"epoch {epoch}" if batch is None else f"epoch {epoch}, batch {batch}"

@@ -38,7 +38,7 @@ class LstmConfig:
     features: int = 1280
     hidden: int = 128
     dense_units: int = 128
-    classes: int = 38
+    classes: int = CnnConfig.classes
 
 
 @dataclass

@@ -7,14 +7,15 @@ reshape, which keeps backward passes auditable.
 
 Threads: importing this module pins numpy's OpenBLAS to one thread for the
 whole process, and `halves` runs the first half of a piece of work on one
-persistent worker thread while the caller runs the second. OpenBLAS's own
-helper threads spin after each call, so a second BLAS thread next to the
-worker slows both; with no known setter, or one usable CPU, there is no
-worker. `halves` alone decides whether a call splits, from its item count
-and the multiply-adds its caller declares (SPLIT_MIN). The split points
-depend only on the work's size, never on timing or the CPU count, and the
-inline path runs the same two halves in turn, so results are the same bytes
-with and without the worker.
+persistent worker thread while the caller runs the second; a forked child
+starts a worker of its own on its first split. OpenBLAS's own helper
+threads spin after each call, so a second BLAS thread next to the worker
+slows both; with no known setter, or one usable CPU, there is no worker.
+`halves` alone decides whether a call splits, from its item count and the
+multiply-adds its caller declares (SPLIT_MIN). The split points depend only
+on the work's size, never on timing or the CPU count, and the inline path
+runs the same two halves in turn, so results are the same bytes with and
+without the worker.
 """
 
 from __future__ import annotations
@@ -44,12 +45,16 @@ def _pin_blas() -> bool:
     setter (or the process maps cannot be read)."""
     try:
         with open("/proc/self/maps") as maps:
-            libs = {ln.split()[-1] for ln in maps if "blas" in ln.lower() and ".so" in ln}
+            libs = {ln.split(maxsplit=5)[5].rstrip("\n") for ln in maps
+                    if "blas" in ln.lower() and ".so" in ln}
     except OSError:
         return False
     pinned = False
     for lib in sorted(libs):
-        handle = ctypes.CDLL(lib)
+        try:    # the path field may name what is gone, e.g. "... (deleted)"
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
         for sym in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
             setter = getattr(handle, sym, None)
@@ -77,11 +82,19 @@ def _start_worker() -> None:
         os.sched_setaffinity(0, others)
 
 
-# One worker, started on first use; None (every split inline) without a BLAS
-# pin or a second CPU.
-_pool = (ThreadPoolExecutor(1, "leafnet-half", _start_worker)
-         if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
-         and _pin_blas() else None)
+def _new_pool() -> None:
+    """Make the executor of the one worker, which starts on first use. A
+    forked child inherits the executor but not its thread, and a split would
+    wait forever on it, so the child makes its own."""
+    global _pool
+    _pool = ThreadPoolExecutor(1, "leafnet-half", _start_worker)
+
+
+# None (every split inline) without a BLAS pin or a second CPU.
+_pool = None
+if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1 and _pin_blas():
+    _new_pool()
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 # Multiply-adds below which a call runs whole, unsplit: the handoff to the

@@ -64,11 +64,11 @@ class AdamState:
     m: list[dict[str, np.ndarray]]
     v: list[dict[str, np.ndarray]]
     t: int = 0
-    lr: float = 1e-4
+    lr: float = TrainConfig.lr
 
     @classmethod
     def for_params(cls, params: list[dict[str, np.ndarray]],
-                   lr: float = 1e-4) -> "AdamState":
+                   lr: float = TrainConfig.lr) -> "AdamState":
         zeros = lambda ps: {k: np.zeros_like(p) for k, p in ps.items()}
         return cls(m=[zeros(p) for p in params], v=[zeros(p) for p in params], lr=lr)
 
@@ -187,8 +187,6 @@ def train(model: M.SequentialModel, train_set, valid_set,
                     loss, correct, _ = loss_and_grads(model, x, y, "train", dropout_rng, total)
                 except NumericError as exc:
                     raise TrainingDiverged(epoch, batch_idx, str(exc)) from exc
-                if not math.isfinite(loss):
-                    raise TrainingDiverged(epoch, batch_idx)
                 loss_sum += loss
                 correct_sum += correct
             scale = 1.0 / len(inputs)

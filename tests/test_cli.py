@@ -15,7 +15,8 @@ from leafnet import metrics as MET
 from leafnet import models as M
 from leafnet import tensor as T
 from leafnet import training as TR
-from leafnet.cli import main
+from leafnet.cli import build_parser, main
+from leafnet.errors import LeafnetError
 
 TWO_CLASS = {"blight": (170, 110, 30), "healthy": (40, 200, 40)}
 
@@ -409,6 +410,53 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["summary", "--arch", "cnn", "--filters", "a,b"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--filters", ",", "CNN filter progression must be positive: ()"),
+        ("--epochs", "0", "epochs and batch size must be >= 1"),
+        ("--batch", "0", "epochs and batch size must be >= 1")])
+    def test_bad_config_flag_exits_2_before_reading_data(self, tmp_path, capsys,
+                                                         flag, value, message):
+        """The config's own check refuses the value before the dataset is
+        scanned and before --out is created, and nothing is echoed."""
+        rc = main(["train", str(tmp_path / "nowhere"), flag, value,
+                   "--out", str(tmp_path / "run")])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {message}")
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    def test_empty_filters_exits_2(self, capsys):
+        assert main(["summary", "--filters", ","]) == 2
+        assert capsys.readouterr().err == "error: CNN filter progression must be positive: ()\n"
+
+    def test_flags_not_given_are_none(self):
+        """No flag that maps onto a config field has a parser default; the
+        config dataclasses alone hold the defaults."""
+        arch = ["input", "filters", "dense", "hidden", "timesteps"]
+        for argv, own in [(["train", "root"], ["epochs", "batch", "lr", "seed"]),
+                          (["summary"], ["classes"])]:
+            args = vars(build_parser().parse_args(argv))
+            assert {k: args[k] for k in arch + own} == dict.fromkeys(arch + own), argv
+
+    def test_no_flags_build_the_stock_configs(self, tree, tmp_path, capsys, monkeypatch):
+        seen = []
+        summary = M.summary
+
+        def recording_summary(model):
+            seen.append(model.spec.config)
+            return summary(model)
+
+        def recording_train(model, train_set, valid_set, config):
+            seen.extend([model.spec.config, config])
+            raise LeafnetError("stopped before training")
+
+        monkeypatch.setattr(M, "summary", recording_summary)
+        monkeypatch.setattr(TR, "train", recording_train)
+        assert main(["summary"]) == 0
+        assert main(["train", str(tree), "--out", str(tmp_path / "run")]) == 2
+        assert seen == [M.CnnConfig(), M.CnnConfig(classes=2), TR.TrainConfig()]
 
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         """TrainConfig alone checks the seed, before the dataset is scanned

@@ -10,6 +10,7 @@ and on a nested split that deadlocks the one-worker pool.
 """
 
 import ctypes
+import io
 import os
 import subprocess
 import sys
@@ -296,7 +297,8 @@ def test_matmul_halves_matches_matmul():
 
 def _blas_thread_counts() -> list[int]:
     with open("/proc/self/maps") as maps:
-        libs = {ln.split()[-1] for ln in maps if "blas" in ln.lower() and ".so" in ln}
+        libs = {ln.split(maxsplit=5)[5].rstrip("\n") for ln in maps
+                if "blas" in ln.lower() and ".so" in ln}
     counts = []
     for lib in sorted(libs):
         handle = ctypes.CDLL(lib)
@@ -316,6 +318,43 @@ def test_import_pins_openblas_to_one_thread():
     assert all(c == 1 for c in counts), counts
     if not counts:
         assert T._pool is None
+
+
+def test_pin_reads_blas_paths_with_spaces(tmp_path, monkeypatch):
+    """A maps line's path is its whole sixth field, spaces included, and a
+    library that cannot be opened, such as a deleted one, is passed over:
+    neither may stop the pin, or the import, which runs it."""
+    if not _blas_thread_counts():
+        pytest.skip("no OpenBLAS with a known thread setter is mapped")
+    with open("/proc/self/maps") as maps:
+        line = next(ln for ln in maps if "blas" in ln.lower() and ".so" in ln)
+    *fields, real = line.split(maxsplit=5)
+    spaced = tmp_path / "with space" / "libopenblas.so"
+    spaced.parent.mkdir()
+    spaced.symlink_to(real.rstrip("\n"))
+    text = "".join(f"{' '.join(fields)} {path}\n"
+                   for path in (spaced, "/gone/libopenblas.so (deleted)"))
+    monkeypatch.setattr(T, "open", lambda path: io.StringIO(text), raising=False)
+    assert T._pin_blas()
+    assert all(c == 1 for c in _blas_thread_counts())
+
+
+def test_split_in_a_forked_child():
+    """A child forked after the worker has started (multiprocessing's start
+    method on Linux) inherits the executor but not its thread; its first
+    split must still run, on a worker of its own."""
+    out = run_isolated(
+        "import os, signal, threading\n"
+        "from leafnet import tensor as T\n"
+        "where = lambda lo, hi: threading.current_thread().name\n"
+        "print(T.halves(2, where), flush=True)\n"
+        "if os.fork() == 0:\n"
+        "    signal.alarm(10)\n"
+        "    print(T.halves(2, where), flush=True)\n"
+        "    os._exit(0)\n"
+        "print(os.waitstatus_to_exitcode(os.wait()[1]))\n")
+    lines = out.splitlines()
+    assert lines == [lines[0], lines[0], "0"], lines
 
 
 # Everything the benchmark's tracer attributes to the thread that calls it,
