@@ -36,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def arch_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--arch", choices=("cnn", "lstm"), default="cnn")
+        p.add_argument("--arch", choices=M.ARCHS, default="cnn")
         p.add_argument("--input", type=int, default=None,
                        help="square input image size (cnn: 128, lstm resize: 80)")
         p.add_argument("--filters", type=_parse_filters, default=None,
@@ -77,10 +77,6 @@ def _config(cls, **flags):
     return cls(**{field: v for field, v in flags.items() if v is not None})
 
 
-# Per --arch: the spec builder, which checks a config, and the model builder.
-_ARCHS = {"cnn": (M.cnn_spec, M.build_cnn), "lstm": (M.lstm_spec, M.build_lstm)}
-
-
 def _model_config(args, classes: int | None = None) -> M.CnnConfig | M.LstmConfig:
     if args.arch == "cnn":
         return _config(M.CnnConfig, input_size=args.input, filters=args.filters,
@@ -109,7 +105,7 @@ def _echo(command: str, **kv) -> None:
 
 
 def cmd_summary(args) -> int:
-    model = _ARCHS[args.arch][1](_model_config(args, args.classes), seed=0)
+    model = M.ARCHS[args.arch][2](_model_config(args, args.classes), seed=0)
     _echo("summary", arch=args.arch, classes=model.spec.classes)
     print(M.summary(model))
     return 0
@@ -119,7 +115,7 @@ def cmd_train(args) -> int:
     config = _config(TR.TrainConfig, epochs=args.epochs, batch_size=args.batch,
                      lr=args.lr, seed=args.seed)
     arch = _model_config(args)
-    check, build = _ARCHS[args.arch]
+    _, check, build = M.ARCHS[args.arch]
     check(arch)     # before the dataset is read; build checks its class count
     _echo("train", arch=args.arch, data=args.data_root, epochs=config.epochs,
           batch=config.batch_size, lr=config.lr, seed=config.seed, out=args.out)

@@ -9,6 +9,9 @@ Class ids are assigned by sorting class names in byte order, so the same
 tree gives the same label map on any machine.
 
 PPM (P6) and 8-bit PNG decode natively; JPEG needs pillow (optional extra).
+A PPM header is P6, then width, height and maxval in ASCII decimal (no sign
+or underscore), each after whitespace and #-to-end-of-line comments, then
+one whitespace byte.
 A PPM, PNG or JPEG header declaring more than MAX_PIXELS pixels is refused
 before any image data is inflated, decoded or copied. The PNG decoder checks
 every chunk's CRC-32 and inflates no more than the header's
@@ -23,11 +26,11 @@ source samples it interpolates, so it costs what its output costs.
 Model files: magic b"LEAF", u32-LE version, u32-LE manifest length, UTF-8
 JSON manifest (architecture config, label map, layer/parameter order, gate
 order), then raw little-endian float32 parameter blobs in manifest order.
-Round trips are bit-exact. A manifest loads only if it equals the one
-save_model writes for its config (`_manifest`). A load then checks the
-declared parameter total against the file's size before it allocates
-anything, and reads the parameter bytes once into one float32 array that
-every loaded parameter is a view of.
+Round trips are bit-exact. A manifest loads only if each field, config
+included, equals as JSON what save_model writes (`_manifest`); `_rebuild`
+is that one check. A load then checks the declared parameter total against
+the file's size before it allocates anything, and reads the parameter bytes
+once into one float32 array that every loaded parameter is a view of.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import itertools
 import json
 import math
 import os
+import re
 import stat
 import struct
 import warnings
@@ -127,37 +131,23 @@ def _check_size(width: int, height: int, kind: str, path: Path) -> None:
                           f"(over {MAX_PIXELS} pixels)")
 
 
+# The PPM header grammar the module docstring states.
+_PPM_HEADER = re.compile(rb"P6" + rb"(?:\s|#[^\n]*\n)+([0-9]+)" * 3 + rb"\s")
+
+
 def _decode_ppm(data: bytes, path: Path) -> np.ndarray:
     """Binary PPM (P6), maxval <= 255; samples are rescaled to 0..255."""
-    pos = 0
-
-    def token() -> bytes:
-        nonlocal pos
-        while pos < len(data):
-            if data[pos:pos + 1].isspace():
-                pos += 1
-            elif data[pos:pos + 1] == b"#":
-                while pos < len(data) and data[pos] != 0x0A:
-                    pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise DecodeError(f"{path}: truncated PPM header")
-        return data[start:pos]
-
-    if token() != b"P6":
-        raise DecodeError(f"{path}: not a P6 PPM file")
+    header = _PPM_HEADER.match(data)
+    if header is None:
+        raise DecodeError(f"{path}: bad PPM header")
     try:
-        width, height, maxval = int(token()), int(token()), int(token())
-    except ValueError as exc:
+        width, height, maxval = map(int, header.groups())
+    except ValueError as exc:   # a number over int()'s 4300-digit limit
         raise DecodeError(f"{path}: bad PPM header") from exc
     if maxval > 255 or maxval < 1:
         raise DecodeError(f"{path}: unsupported PPM maxval {maxval}")
     _check_size(width, height, "PPM", path)
-    pos += 1  # single whitespace after maxval
+    pos = header.end()
     if len(data) - pos < width * height * 3:
         raise DecodeError(f"{path}: PPM pixel data truncated")
     samples = np.frombuffer(data, dtype=np.uint8, count=width * height * 3,
@@ -501,7 +491,7 @@ def synth_dataset(classes: int, per_class: int, seed: int, *,
 
 def _manifest(spec: M.ModelSpec, label_map: Sequence[str]) -> dict:
     """The manifest save_model writes for a model of `spec`; load_model
-    accepts only a manifest equal to it, save for how `config` is spelled."""
+    accepts only a manifest equal to it."""
     return {
         "format": "leaf",
         "version": FORMAT_VERSION,
@@ -566,16 +556,6 @@ def save_model(model: M.SequentialModel, path: str | Path) -> None:
     write_atomic(path, itertools.chain([head], params))
 
 
-_ARCHS = {"cnn": (M.CnnConfig, M.cnn_spec), "lstm": (M.LstmConfig, M.lstm_spec)}
-
-
-def _field(obj, key: str, kind: type, where: str):
-    """obj[key] when obj is a JSON object holding a `kind` there."""
-    if not isinstance(obj, dict) or not isinstance(obj.get(key), kind):
-        raise ModelFormatError(f"{where} needs a {kind.__name__} {key!r}")
-    return obj[key]
-
-
 def _config_value(default, value):
     """The manifest value typed like the dataclass default, or None."""
     if isinstance(default, tuple):
@@ -585,24 +565,46 @@ def _config_value(default, value):
     return value if type(value) in number else None
 
 
-def _rebuild(arch, config, where: str) -> M.ModelSpec:
-    """The layer specs a manifest's architecture and config describe; draws
-    no parameters, since load_model fills them all from the file."""
-    if arch not in _ARCHS:
+def _rebuild(text: bytes, where: str) -> tuple[M.ModelSpec, list[str]]:
+    """The spec and label map of a manifest, whose every field, config
+    included, must be what save_model writes for them (compared as JSON, so
+    1.0 is not 1 and true is not 1). Draws no parameters, since load_model
+    fills them all from the file."""
+    try:
+        manifest = json.loads(text.decode("utf-8"))
+    except ValueError as exc:   # bad UTF-8 or JSON, or an int over 4300 digits
+        raise ModelFormatError(f"{where} unreadable: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ModelFormatError(f"{where} is not a JSON object")
+    arch, config, label_map = (manifest.get(key) for key in ("arch", "config", "label_map"))
+    if not isinstance(arch, str) or arch not in M.ARCHS:
         raise ModelFormatError(f"{where}: unknown architecture {arch!r}")
-    cls, spec_of = _ARCHS[arch]
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-    if set(config) != set(defaults):
-        raise ModelFormatError(f"{where}: {arch} config keys {sorted(config)} "
-                               f"are not {sorted(defaults)}")
-    values = {key: _config_value(default, config[key]) for key, default in defaults.items()}
+    if not isinstance(config, dict):
+        raise ModelFormatError(f"{where}: config is not a JSON object")
+    if not isinstance(label_map, list) or not all(isinstance(n, str) for n in label_map):
+        raise ModelFormatError(f"{where}: label_map is not a list of strings")
+    cls, spec_of, _ = M.ARCHS[arch]
+    # a config key missing or extra fails the comparison below
+    values = {f.name: _config_value(f.default, config[f.name])
+              for f in dataclasses.fields(cls) if f.name in config}
     for key, value in values.items():
         if value is None:
             raise ModelFormatError(f"{where}: config {key}={config[key]!r} has the wrong type")
     try:
-        return spec_of(cls(**values))
+        spec = spec_of(cls(**values))
     except ConfigError as exc:
         raise ModelFormatError(f"{where}: {exc}") from exc
+    if label_map and len(label_map) != spec.classes:
+        raise ModelFormatError(f"{where}: label_map has {len(label_map)} names "
+                               f"for {spec.classes} classes")
+    declared, expected = ({key: json.dumps(value, sort_keys=True) for key, value in m.items()}
+                          for m in (manifest, _manifest(spec, label_map)))
+    differ = sorted(key for key in declared.keys() | expected.keys()
+                    if declared.get(key) != expected.get(key))
+    if differ:
+        raise ModelFormatError(f"{where}: {', '.join(differ)} not as save_model writes "
+                               f"them for this {arch} config")
+    return spec, label_map
 
 
 def load_model(path: str | Path) -> M.SequentialModel:
@@ -631,7 +633,7 @@ def load_model(path: str | Path) -> M.SequentialModel:
         if 12 + mlen > size:
             raise ModelFormatError(f"{path}: manifest truncated at offset {size}")
         try:
-            spec, label_map = _checked_manifest(path, f.read(mlen))
+            spec, label_map = _rebuild(f.read(mlen), f"{path}: manifest")
         except RecursionError as exc:
             raise ModelFormatError(f"{path}: manifest nested too deeply to read") from exc
         shapes = [M.param_shapes(layer) for layer in spec.layers]
@@ -658,33 +660,3 @@ def load_model(path: str | Path) -> M.SequentialModel:
         params.append(layer_params)
     return M.SequentialModel(spec, params, list(label_map))
 
-
-def _checked_manifest(path: Path, text: bytes) -> tuple[M.ModelSpec, list]:
-    """The spec and label map a manifest declares, after checking that every
-    field but `config` is what save_model writes for that config (compared
-    as JSON, so 1.0 is not 1 and true is not 1; config itself is checked by
-    _rebuild)."""
-    try:
-        manifest = json.loads(text.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ModelFormatError(f"{path}: manifest unreadable: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise ModelFormatError(f"{path}: manifest is not a JSON object")
-    where = f"{path}: manifest"
-    spec = _rebuild(_field(manifest, "arch", str, where),
-                    _field(manifest, "config", dict, where), where)
-    label_map = _field(manifest, "label_map", list, where)
-    if not all(isinstance(name, str) for name in label_map):
-        raise ModelFormatError(f"{where}: label_map entries must be strings")
-    if label_map and len(label_map) != spec.classes:
-        raise ModelFormatError(f"{where}: label_map has {len(label_map)} names "
-                               f"for {spec.classes} classes")
-    declared, expected = ({key: json.dumps(value, sort_keys=True) for key, value in m.items()}
-                          for m in (manifest, _manifest(spec, label_map)))
-    expected["config"] = declared["config"]
-    differ = sorted(key for key in declared.keys() | expected.keys()
-                    if declared.get(key) != expected.get(key))
-    if differ:
-        raise ModelFormatError(f"{where}: {', '.join(differ)} not as save_model writes "
-                               f"them for this {spec.arch} config")
-    return spec, label_map

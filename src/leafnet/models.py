@@ -102,6 +102,9 @@ def cnn_spec(cfg: CnnConfig) -> ModelSpec:
         raise ConfigError(f"invalid CNN config: {cfg}")
     if not cfg.filters or any(f < 1 for f in cfg.filters):
         raise ConfigError(f"CNN filter progression must be positive: {cfg.filters}")
+    if not (0 <= cfg.conv_dropout < 1 and 0 <= cfg.dense_dropout < 1):   # NaN fails too
+        raise ConfigError(f"CNN dropout rates must be in [0, 1): {cfg.conv_dropout}, "
+                          f"{cfg.dense_dropout}")
     name = _Namer()
     specs: list[LayerSpec] = []
     shape = (cfg.input_size, cfg.input_size, cfg.channels)
@@ -247,6 +250,10 @@ def build_cnn(config: CnnConfig | None = None, *, seed: int = 0) -> SequentialMo
 def build_lstm(config: LstmConfig | None = None, *, seed: int = 0) -> SequentialModel:
     """Build the recurrent classifier; defaults give the stock network."""
     return _initialized(lstm_spec(config or LstmConfig()), seed)
+
+
+# Per architecture name: its config class, spec builder and model builder.
+ARCHS = {"cnn": (CnnConfig, cnn_spec, build_cnn), "lstm": (LstmConfig, lstm_spec, build_lstm)}
 
 
 # ---------------------------------------------------------------------------

@@ -272,13 +272,17 @@ def _without(d: dict, key: str) -> dict:
     return {k: v for k, v in d.items() if k != key}
 
 
+def _configured(m: dict, **changes) -> dict:
+    """The manifest with `changes` made to its config alone."""
+    return {**m, "config": {**m["config"], **changes}}
+
+
 def declaring(arch: str, **changes):
     """Manifest mutator: declare `arch` with `changes` applied to a config
     (the file's own if it has that arch, else the defaults with its class
     count), and the layers and parameter shapes a saver would write for it.
     The parameter bytes stay those of the original file."""
-    config_cls, spec_of = {"cnn": (M.CnnConfig, M.cnn_spec),
-                           "lstm": (M.LstmConfig, M.lstm_spec)}[arch]
+    config_cls, spec_of, _ = M.ARCHS[arch]
 
     def mutate(m: dict) -> dict:
         own = m["config"] if m["arch"] == arch else {"classes": m["config"]["classes"]}
@@ -314,6 +318,18 @@ MALFORMED_MANIFESTS = {
         **m, "layers": [{**m["layers"][0], "extra": 1}] + m["layers"][1:]},
     "dense-units-2**62": declaring("cnn", dense_units=2 ** 62),
     "lstm-hidden-2**62": declaring("lstm", hidden=2 ** 62),
+    # declaring cannot build these: the spec builder refuses the rates
+    "conv-dropout-5": lambda m: _configured(m, conv_dropout=5.0),
+    "dense-dropout-nan": lambda m: _configured(m, dense_dropout=float("nan")),
+    # one case per check data._rebuild makes: the types, keys and fields it reads
+    "config-without-channels": lambda m: {**m, "config": _without(m["config"], "channels")},
+    "input-size-128.0": lambda m: _configured(m, input_size=128.0),
+    "dense-units-true": lambda m: _configured(m, dense_units=True),
+    "filters-strings": lambda m: _configured(m, filters=["32"]),
+    "label-map-entry-7": lambda m: {**m, "label_map": [7] + m["label_map"][1:]},
+    "label-map-string": lambda m: {**m, "label_map": "abc"},
+    "arch-list": lambda m: {**m, "arch": ["cnn"]},
+    "config-list": lambda m: {**m, "config": []},
 }
 
 

@@ -111,6 +111,30 @@ class TestDecoding:
         with pytest.raises(DecodeError, match="bad.ppm"):
             D.decode_image(tmp_path / "bad.ppm")
 
+    @pytest.mark.parametrize("header", [
+        b"P6#c\n2 1 255\n", b"P6 2#c\n1 255\n", b"P6\r\n2\v1\f255\n",
+        b"P6 02 01 255 ", b"P6\t2 1 255\r", b"P6 #\n# x\n 2 #a#b\n1\n255\n"])
+    def test_ppm_header_grammar_accepted(self, tmp_path, header):
+        """Whitespace is any of the six ASCII space bytes; a comment may
+        follow the magic or a number directly and runs to the end of its
+        line; numbers may have leading zeros."""
+        (tmp_path / "h.ppm").write_bytes(header + bytes(range(6)))
+        np.testing.assert_array_equal(D.decode_image(tmp_path / "h.ppm"),
+                                      np.arange(6).reshape(1, 2, 3))
+
+    @pytest.mark.parametrize("header", [
+        b"P6 +2 1 255\n", b"P6 2_0 1 255\n", b"P6 2 1 255", b"P6 2 1 255#c\n",
+        b"P6 2 1 +255\n", b"P6 2 1 # no newline", b"P6x 2 1 255\n", b"P62 1 255\n",
+        b"P6 2 1 2\xd9\xa55\n", b"P6 2 1 " + b"0" * 5000 + b"255\n"])
+    def test_ppm_header_grammar_refused_with_path(self, tmp_path, header):
+        """Signs, underscores and non-ASCII digits are not decimal numbers; a
+        comment without its newline, or no whitespace byte after maxval, ends
+        the header early. The file holds pixels enough for int()'s reading of
+        the numbers (2_0 is 20)."""
+        (tmp_path / "h.ppm").write_bytes(header + bytes(range(6)) * 20)
+        with pytest.raises(DecodeError, match="h.ppm: bad PPM header"):
+            D.decode_image(tmp_path / "h.ppm")
+
     def test_png_rgb_exact(self, tmp_path):
         rgb = np.random.default_rng(0).integers(0, 256, (5, 7, 3)).astype(np.uint8)
         write_png(tmp_path / "t.png", rgb)
@@ -464,6 +488,18 @@ class TestModelFile:
             D.MAGIC + struct.pack("<II", D.FORMAT_VERSION, len(manifest)) + manifest)
         with pytest.raises(ModelFormatError, match="deep.leaf"):
             D.load_model(tmp_path / "deep.leaf")
+
+    def test_manifest_integer_over_the_digit_limit_rejected(self, tmp_path):
+        """json.loads refuses an integer of more than 4300 digits with a
+        ValueError that is not a JSONDecodeError."""
+        D.save_model(self.small_model(), tmp_path / "m.leaf")
+        blob = (tmp_path / "m.leaf").read_bytes()
+        mlen, = struct.unpack("<I", blob[8:12])
+        manifest = blob[12:12 + mlen].replace(b'"version": 1', b'"version": ' + b"1" * 5000)
+        (tmp_path / "big.leaf").write_bytes(blob[:8] + struct.pack("<I", len(manifest))
+                                            + manifest + blob[12 + mlen:])
+        with pytest.raises(ModelFormatError, match="big.leaf: manifest unreadable"):
+            D.load_model(tmp_path / "big.leaf")
 
     @pytest.mark.parametrize("change", [lambda b: b[:-1], lambda b: b + b"\0"],
                              ids=["one-byte-short", "one-byte-long"])

@@ -86,6 +86,83 @@ def test_image_truncations_and_bit_flips(files, tmp_path, kind):
     assert _accepted(tmp_path / f"case.{kind}", [("intact", blob)], D.decode_image) == 1
 
 
+_SPACES = [b" ", b"\t", b"\n", b"\v", b"\f", b"\r"]
+_JUNK = [b"+", b"-", b"_", b"x", b"\xd9\xa5", b"\0"]
+
+
+def _pick(rng, options):
+    return options[int(rng.integers(len(options)))]
+
+
+def _comment(rng, newline: bool = True) -> bytes:
+    text = bytes(int(b) for b in rng.integers(0, 256, int(rng.integers(0, 6))) if b != 0x0A)
+    return b"#" + text + (b"\n" if newline else b"")
+
+
+def _separator(rng) -> bytes:
+    """What may come before a header number: whitespace bytes and comments,
+    at least one of them."""
+    return b"".join(_comment(rng) if rng.random() < 0.3 else _pick(rng, _SPACES)
+                    for _ in range(int(rng.integers(1, 4))))
+
+
+def _gap(rng) -> bytes:
+    """Zero to two pieces, mostly whitespace bytes, else comments (with or
+    without their newline) or junk."""
+    pieces = []
+    for _ in range(int(rng.choice(3, p=[0.05, 0.65, 0.3]))):
+        roll = rng.random()
+        pieces.append(_pick(rng, _SPACES) if roll < 0.8 else
+                      _comment(rng, rng.random() < 0.5) if roll < 0.9 else _pick(rng, _JUNK))
+    return b"".join(pieces)
+
+
+def _number(rng) -> bytes:
+    """A small decimal number, sometimes signed, zero-led or split by an
+    underscore."""
+    forms = [b"%d"] * 12 + [b"0%d", b"+%d", b"-%d", b"%d_0"]
+    return _pick(rng, forms) % rng.integers(0, 5)
+
+
+def _ppm_headers(count: int, seed: int):
+    """(label, file bytes, shape or None): `count` PPM files, half from a
+    known width, height and maxval written with random separators, comments
+    and leading zeros (shape (height, width, 3)), half from random tokens
+    (shape None)."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        if i % 2 == 0:
+            width, height, maxval = (int(v) for v in rng.integers(1, [5, 5, 256]))
+            numbers = [b"0" * int(rng.integers(0, 3)) + b"%d" % v
+                       for v in (width, height, maxval)]
+            header = b"P6" + b"".join(_separator(rng) + n for n in numbers)
+            header += _pick(rng, _SPACES)
+            pixels = rng.integers(0, maxval + 1, width * height * 3, dtype=np.uint8)
+            yield f"known {header!r}", header + pixels.tobytes(), (height, width, 3)
+        else:
+            header = b"P6" + b"".join(_gap(rng) + _number(rng) for _ in range(3)) + _gap(rng)
+            yield f"random {header!r}", header + bytes(int(rng.integers(0, 60))), None
+
+
+def test_ppm_seeded_headers(tmp_path):
+    """A header from known numbers decodes to their shape; any other header
+    decodes or raises DecodeError, never another exception."""
+    path = tmp_path / "h.ppm"
+    decoded = 0
+    for label, blob, shape in _ppm_headers(2000, seed=13):
+        path.write_bytes(blob)
+        try:
+            img = D.decode_image(path)
+        except DecodeError:
+            assert shape is None, label
+            continue
+        except Exception as exc:
+            raise AssertionError(f"{label}: untyped {exc!r}") from exc
+        assert shape is None or img.shape == shape, label
+        decoded += shape is None
+    assert 0 < decoded < 1000
+
+
 def _manifest_end(blob: bytes) -> int:
     return 12 + struct.unpack("<I", blob[8:12])[0]
 

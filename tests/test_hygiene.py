@@ -1,8 +1,10 @@
-"""Every top-level name in src/leafnet is used by src/leafnet.
+"""Every top-level name, method and property in src/leafnet is used by
+src/leafnet.
 
-A function, class or constant that nothing in the package references is
-dead code kept alive only by its tests; it is deleted, not kept. The few
-exceptions below are public entry points the acceptance criteria call.
+A function, class, constant or method that nothing in the package
+references is dead code kept alive only by its tests; it is deleted, not
+kept. The few exceptions below are public entry points the acceptance
+criteria call.
 The package also imports nothing beyond the standard library and numpy,
 save pillow inside the JPEG decoder; only tensor.halves reads the split
 gate SPLIT_MIN; and every function the benchmark's tracer wraps still
@@ -18,7 +20,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "leafnet"
 
-# (module, name) -> why it stays without a caller in src/
+# (module, name or Class.method) -> why it stays without a caller in src/
 ALLOWED = {
     ("models", "forward_train"): "acceptance criterion 3's end-to-end gradient checks "
                                  "call it",
@@ -29,6 +31,8 @@ ALLOWED = {
     ("data", "synth_dataset"): "the synthetic fixture acceptance criterion 6 trains on",
     ("metrics", "aggregates"): "acceptance criterion 7 checks the macro and weighted "
                                "averages through it",
+    ("models", "SequentialModel.layer_param_counts"): "acceptance criterion 1 checks the "
+                                                      "per-layer parameter counts through it",
 }
 
 
@@ -46,6 +50,21 @@ def _defined(tree: ast.Module) -> list[str]:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [t.id for t in targets if isinstance(t, ast.Name)]
     return [n for n in names if not n.startswith("__")]
+
+
+def _methods(tree: ast.Module) -> list[str]:
+    """`Class.method` for each method and property of the module's classes,
+    dunder methods aside."""
+    return [f"{cls.name}.{node.name}" for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def _attributes(trees: dict[str, ast.Module]) -> set[str]:
+    """Every attribute name the package references as `obj.name`."""
+    return {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -79,23 +98,33 @@ def _references(module: str, trees: dict[str, ast.Module]) -> set[str]:
 
 
 def test_every_top_level_name_is_used_in_src():
+    """Methods and properties count as used when any attribute of that name
+    is referenced anywhere in the package."""
     trees = _trees()
     exported = set().union(*(_exported(t) for t in trees.values()))
+    attributes = _attributes(trees)
     unused = []
     for module, tree in trees.items():
         used = _references(module, trees)
         unused += [f"{module}.{name}" for name in _defined(tree)
                    if name not in used and name not in exported
                    and (module, name) not in ALLOWED]
+        unused += [f"{module}.{name}" for name in _methods(tree)
+                   if name.split(".")[1] not in attributes and (module, name) not in ALLOWED]
     assert not unused, f"no caller in src/leafnet (delete them): {unused}"
 
 
 def test_allowlist_names_exist_and_are_unused():
     """An exception that gains a caller or disappears leaves the list."""
     trees = _trees()
+    attributes = _attributes(trees)
     for module, name in ALLOWED:
-        assert name in _defined(trees[module]), f"{module}.{name} is gone"
-        assert name not in _references(module, trees), f"{module}.{name} has a caller now"
+        if "." in name:
+            assert name in _methods(trees[module]), f"{module}.{name} is gone"
+            assert name.split(".")[1] not in attributes, f"{module}.{name} has a caller now"
+        else:
+            assert name in _defined(trees[module]), f"{module}.{name} is gone"
+            assert name not in _references(module, trees), f"{module}.{name} has a caller now"
 
 
 def test_only_halves_reads_split_min():

@@ -62,6 +62,13 @@ class TestBuildCnn:
         with pytest.raises(ConfigError):
             M.build_cnn(M.CnnConfig(classes=1))
 
+    @pytest.mark.parametrize("rates", [{"conv_dropout": 1.5}, {"conv_dropout": 1.0},
+                                       {"dense_dropout": -0.1},
+                                       {"dense_dropout": float("nan")}])
+    def test_dropout_rate_outside_unit_interval_rejected(self, rates):
+        with pytest.raises(ConfigError, match="dropout"):
+            M.build_cnn(M.CnnConfig(**rates))
+
 
 class TestBuildLstm:
     def test_default_total(self):
