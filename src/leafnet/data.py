@@ -5,8 +5,12 @@ Dataset layout is folder-per-class under train/ and valid/:
     <root>/train/<ClassName>/*.{jpg,jpeg,png,ppm}
     <root>/valid/<ClassName>/*.{jpg,jpeg,png,ppm}
 
-Class ids are assigned by sorting class names in byte order, so the same
-tree gives the same label map on any machine.
+A class directory's name must be UTF-8: scan_dataset raises a DatasetError
+naming any other before an image is read. Class ids are assigned by sorting
+class names, in code-point order, which for UTF-8 names is their byte order,
+so the same tree gives the same label map on any machine. An image or model
+file must be a regular file; it is opened without waiting for a writer, so
+a FIFO is refused rather than read.
 
 PPM (P6) and 8-bit PNG decode natively; JPEG needs pillow (optional extra).
 A PPM header is P6, then width, height and maxval in ASCII decimal (no sign
@@ -35,6 +39,7 @@ once into one float32 array that every loaded parameter is a view of.
 
 from __future__ import annotations
 
+import colorsys
 import dataclasses
 import itertools
 import json
@@ -47,7 +52,7 @@ import warnings
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -94,6 +99,29 @@ class DatasetIndex:
         return out
 
 
+def _utf8(name: str) -> bool:
+    """Whether `name` encodes as UTF-8: a name read from disk holds a lone
+    surrogate for each byte that does not decode."""
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _open_regular(path: Path, error: type[Exception]) -> BinaryIO:
+    """`path` opened for reading, or `error` if it is not a regular file.
+    The open does not wait for a writer, as it would on a FIFO."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            raise error(f"{path}: not a regular file")
+        return os.fdopen(fd, "rb")
+    except BaseException:
+        os.close(fd)
+        raise
+
+
 def scan_dataset(root: str | Path) -> DatasetIndex:
     """Index every image under <root>/{train,valid}/<class>/."""
     root = Path(root)
@@ -104,6 +132,11 @@ def scan_dataset(root: str | Path) -> DatasetIndex:
         split: {d.name for d in (root / split).iterdir() if d.is_dir()}
         for split in SPLITS
     }
+    for split, names in per_split_classes.items():
+        for name in sorted(names):
+            if not _utf8(name):
+                raise DatasetError(f"{root / split}: class directory name "
+                                   f"{os.fsencode(name)!r} is not UTF-8")
     valid_only = per_split_classes["valid"] - per_split_classes["train"]
     if valid_only:
         warnings.warn(
@@ -343,7 +376,8 @@ def decode_image(path: str | Path) -> np.ndarray:
     """Decode to a uint8 [H, W, 3] array (grayscale replicated, alpha dropped)."""
     path = Path(path)
     try:
-        data = path.read_bytes()
+        with _open_regular(path, DecodeError) as f:
+            data = f.read()
     except OSError as exc:
         raise DecodeError(f"{path}: {exc}") from exc
     if data[:2] == b"P6":
@@ -458,14 +492,7 @@ class DiskDataset(_Dataset):
 
 def _base_colors(k: int) -> np.ndarray:
     """K well-separated RGB anchors (hue wheel at fixed saturation/value)."""
-    colors = np.zeros((k, 3))
-    for i in range(k):
-        hue = (i / k) * 6.0
-        sector, frac = int(hue) % 6, hue - int(hue)
-        v, p, q, t = 0.9, 0.15, 0.9 - 0.75 * frac, 0.15 + 0.75 * frac
-        colors[i] = [(v, t, p), (q, v, p), (p, v, t),
-                     (p, q, v), (t, p, v), (v, p, q)][sector]
-    return colors
+    return np.array([colorsys.hsv_to_rgb(i / k, 5 / 6, 0.9) for i in range(k)])
 
 
 def synth_dataset(classes: int, per_class: int, seed: int, *,
@@ -583,6 +610,8 @@ def _rebuild(text: bytes, where: str) -> tuple[M.ModelSpec, list[str]]:
         raise ModelFormatError(f"{where}: config is not a JSON object")
     if not isinstance(label_map, list) or not all(isinstance(n, str) for n in label_map):
         raise ModelFormatError(f"{where}: label_map is not a list of strings")
+    if not all(_utf8(n) for n in label_map):
+        raise ModelFormatError(f"{where}: label_map holds a name that is not UTF-8")
     cls, spec_of, _ = M.ARCHS[arch]
     # a config key missing or extra fails the comparison below
     values = {f.name: _config_value(f.default, config[f.name])
@@ -617,11 +646,8 @@ def load_model(path: str | Path) -> M.SequentialModel:
     read once, straight into one float32 array, and each parameter is a
     reshaped, writable view of that array."""
     path = Path(path)
-    with open(path, "rb") as f:
-        st = os.fstat(f.fileno())
-        if not stat.S_ISREG(st.st_mode):
-            raise ModelFormatError(f"{path}: not a regular file")
-        size = st.st_size
+    with _open_regular(path, ModelFormatError) as f:
+        size = os.fstat(f.fileno()).st_size
         head = f.read(12)
         if head[:4] != MAGIC:
             raise ModelFormatError(f"{path}: bad magic at offset 0")
@@ -637,8 +663,8 @@ def load_model(path: str | Path) -> M.SequentialModel:
         except RecursionError as exc:
             raise ModelFormatError(f"{path}: manifest nested too deeply to read") from exc
         shapes = [M.param_shapes(layer) for layer in spec.layers]
-        total = sum(math.prod(shape) for layer_shapes in shapes
-                    for shape in layer_shapes.values())
+        sizes = [math.prod(shape) for layer_shapes in shapes for shape in layer_shapes.values()]
+        total = sum(sizes)
         end = 12 + mlen + 4 * total
         if end > size:
             raise ModelFormatError(f"{path}: parameter blob truncated at offset {size}; "
@@ -649,14 +675,8 @@ def load_model(path: str | Path) -> M.SequentialModel:
         if f.readinto(flat.data) != flat.nbytes or f.read(1):
             raise ModelFormatError(f"{path}: file changed size while it was read")
     flat = flat.astype(np.float32, copy=False)  # a copy only on big-endian hosts
-    params: list[dict[str, np.ndarray]] = []
-    offset = 0
-    for layer_shapes in shapes:
-        layer_params = {}
-        for key, shape in layer_shapes.items():
-            count = math.prod(shape)
-            layer_params[key] = flat[offset:offset + count].reshape(shape)
-            offset += count
-        params.append(layer_params)
+    pieces = iter(np.split(flat, np.cumsum(sizes)[:-1]))
+    params = [{key: next(pieces).reshape(shape) for key, shape in layer_shapes.items()}
+              for layer_shapes in shapes]
     return M.SequentialModel(spec, params, list(label_map))
 

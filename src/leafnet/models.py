@@ -70,7 +70,7 @@ class SequentialModel:
 
     @property
     def total_params(self) -> int:
-        return sum(L.param_count(p) for p in self.params)
+        return sum(self.layer_param_counts())
 
     def layer_param_counts(self) -> list[int]:
         return [L.param_count(p) for p in self.params]
@@ -260,8 +260,8 @@ ARCHS = {"cnn": (CnnConfig, cnn_spec, build_cnn), "lstm": (LstmConfig, lstm_spec
 # summary
 
 def summary_rows(model: SequentialModel) -> list[SummaryRow]:
-    return [SummaryRow(s.name, _KINDS[s.kind].label, s.output_shape, L.param_count(p))
-            for s, p in zip(model.spec.layers, model.params)]
+    return [SummaryRow(s.name, _KINDS[s.kind].label, s.output_shape, count)
+            for s, count in zip(model.spec.layers, model.layer_param_counts())]
 
 
 def _shape_str(shape: Iterable[int]) -> str:
@@ -340,8 +340,8 @@ def backward(model: SequentialModel, caches: list, d_logits: np.ndarray,
     respect to the final pre-softmax logits (probs - onehot for
     cross-entropy), which the head takes as it is. With `grads` (one dict
     per layer), each layer's gradients are added into it in place as soon
-    as they exist, so no second full gradient set is built; one T.halves
-    call adds each layer's T.BLOCK-element blocks. The first layer's input
+    as they exist, so no second full gradient set is built; one
+    T.blockwise call adds each layer's. The first layer's input
     gradient is never computed. Backward consumes `caches`: each layer's
     entry is set to None as its backward starts, so the activations are
     freed as the pass goes.
@@ -354,10 +354,10 @@ def backward(model: SequentialModel, caches: list, d_logits: np.ndarray,
         g = _KINDS[spec.kind].backward(spec, params, cache, d_out, li > 0)
         d_out = g.pop("input", None)
         acc = grads[li]
-        sums = [b for key, gk in g.items() if key in acc for b in T.blocks(acc[key], gk)]
+        T.blockwise(lambda a, b: np.add(a, b, out=a),
+                    [(acc[key], gk) for key, gk in g.items() if key in acc])
         acc.update({key: np.ascontiguousarray(gk) for key, gk in g.items() if key not in acc})
-        T.halves(len(sums), lambda lo, hi: [np.add(a, b, out=a) for a, b in sums[lo:hi]])
-        g = sums = None  # not kept alive through the next layer's backward
+        g = None  # not kept alive through the next layer's backward
     return grads
 
 

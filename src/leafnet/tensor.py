@@ -143,15 +143,19 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
 # tensors (Adam, the gradient sum and its scale). Whole tensors stream
 # through memory once per operation; in 64K-element blocks, which stay in
 # cache across a pass's operations, one thread took 36-40 ms per stock CNN
-# Adam step against 58 ms whole. `halves` splits the list of blocks.
+# Adam step against 58 ms whole.
 BLOCK = 1 << 16
 
 
-def blocks(*arrays: np.ndarray) -> list[list[np.ndarray]]:
-    """Matching flat slices of at most BLOCK elements of equal-size arrays;
-    the slices of a C-contiguous array are views of it."""
-    flat = [a.reshape(-1) for a in arrays]
-    return [[a[s:s + BLOCK] for a in flat] for s in range(0, flat[0].size, BLOCK)]
+def blockwise(op, groups) -> None:
+    """op(*views) for each block of each group of equal-size arrays: the
+    views are matching flat slices of at most BLOCK elements, one per array
+    of the group, and `halves` splits the list of every group's blocks. The
+    slices of a C-contiguous array are views of it, so op writes through."""
+    blocks = [[a[s:s + BLOCK] for a in flat]
+              for flat in ([a.reshape(-1) for a in group] for group in groups)
+              for s in range(0, flat[0].size, BLOCK)]
+    halves(len(blocks), lambda lo, hi: [op(*views) for views in blocks[lo:hi]])
 
 
 def matmul_halves(a: np.ndarray, b: np.ndarray) -> np.ndarray:

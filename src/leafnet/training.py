@@ -81,13 +81,12 @@ def adam_step(params: list[dict[str, np.ndarray]],
     The operations and their order are those of the textbook form
     m = b1 m + (1-b1) g, v = b2 v + (1-b2) g g, p -= lr (m/bc1) / (sqrt(v/bc2) + eps),
     so the result is bit-identical to it; two scratch buffers per block
-    replace its temporaries. Every tensor is cut into blocks of at most
-    T.BLOCK elements, and T.halves updates the two halves of the list of
-    all blocks."""
+    replace its temporaries. T.blockwise updates every tensor block by
+    block."""
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t
     bc2 = 1.0 - BETA2 ** state.t
-    blocks = []
+    groups = []
     for p, g, m, v in zip(params, grads, state.m, state.v):
         for key in p:
             pk, gk, mk, vk = p[key], g[key], m[key], v[key]
@@ -96,27 +95,26 @@ def adam_step(params: list[dict[str, np.ndarray]],
                     f"grad shape {gk.shape} != param shape {pk.shape} for {key!r}")
             if not (pk.flags.c_contiguous and mk.flags.c_contiguous and vk.flags.c_contiguous):
                 raise ConfigError(f"{key!r}: Adam updates C-contiguous arrays in place")
-            blocks += T.blocks(pk, gk, mk, vk)
+            groups.append((pk, gk, mk, vk))
 
-    def update(lo, hi):
-        for pk, gk, mk, vk in blocks[lo:hi]:
-            step, denom = np.empty_like(mk), np.empty_like(vk)
-            mk *= BETA1
-            np.multiply(gk, 1.0 - BETA1, out=step)
-            mk += step
-            vk *= BETA2
-            np.multiply(gk, 1.0 - BETA2, out=step)
-            step *= gk
-            vk += step
-            np.divide(vk, bc2, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += EPSILON
-            np.divide(mk, bc1, out=step)
-            step *= state.lr
-            step /= denom
-            pk -= step
+    def update(pk, gk, mk, vk):
+        step, denom = np.empty_like(mk), np.empty_like(vk)
+        mk *= BETA1
+        np.multiply(gk, 1.0 - BETA1, out=step)
+        mk += step
+        vk *= BETA2
+        np.multiply(gk, 1.0 - BETA2, out=step)
+        step *= gk
+        vk += step
+        np.divide(vk, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += EPSILON
+        np.divide(mk, bc1, out=step)
+        step *= state.lr
+        step /= denom
+        pk -= step
 
-    T.halves(len(blocks), update)
+    T.blockwise(update, groups)
     return state
 
 
@@ -140,12 +138,13 @@ def categorical_cross_entropy(probs: np.ndarray, target) -> tuple[float, np.ndar
 
 
 def loss_and_grads(model: M.SequentialModel, x: np.ndarray, target,
-                   mode: str = "train", rng: np.random.Generator | None = None,
+                   rng: np.random.Generator | None = None,
                    grads: list[dict[str, np.ndarray]] | None = None):
-    """Loss, number of correct predictions, and parameter gradients of one
-    sample or a stacked batch (loss and gradients summed over its samples).
-    With `grads`, the gradients are added into it (see models.backward)."""
-    probs, caches = M._forward(model, x, mode, rng, keep_caches=True)
+    """Train-mode loss, number of correct predictions, and parameter
+    gradients of one sample or a stacked batch (loss and gradients summed
+    over its samples). With `grads`, the gradients are added into it (see
+    models.backward)."""
+    probs, caches = M.forward_train(model, x, rng)
     loss, d_logits = categorical_cross_entropy(probs, target)
     grads = M.backward(model, caches, d_logits, grads)
     correct = int(np.sum(np.argmax(probs, axis=-1) == target))
@@ -184,15 +183,14 @@ def train(model: M.SequentialModel, train_set, valid_set,
             total: list[dict[str, np.ndarray]] = [dict() for _ in model.params]
             for x, y in _micro_batches(zip(inputs, labels)):
                 try:
-                    loss, correct, _ = loss_and_grads(model, x, y, "train", dropout_rng, total)
+                    loss, correct, _ = loss_and_grads(model, x, y, dropout_rng, total)
                 except NumericError as exc:
                     raise TrainingDiverged(epoch, batch_idx, str(exc)) from exc
                 loss_sum += loss
                 correct_sum += correct
             scale = 1.0 / len(inputs)
-            parts = [b for acc in total for g in acc.values() for (b,) in T.blocks(g)]
-            T.halves(len(parts), lambda lo, hi: [np.multiply(b, scale, out=b)
-                                                 for b in parts[lo:hi]])
+            T.blockwise(lambda g: np.multiply(g, scale, out=g),
+                        [(g,) for acc in total for g in acc.values()])
             state = adam_step(model.params, total, state)
             seen += len(inputs)
         try:

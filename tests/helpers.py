@@ -328,6 +328,7 @@ MALFORMED_MANIFESTS = {
     "filters-strings": lambda m: _configured(m, filters=["32"]),
     "label-map-entry-7": lambda m: {**m, "label_map": [7] + m["label_map"][1:]},
     "label-map-string": lambda m: {**m, "label_map": "abc"},
+    "label-map-surrogate": lambda m: {**m, "label_map": ["\ud800"] + m["label_map"][1:]},
     "arch-list": lambda m: {**m, "arch": ["cnn"]},
     "config-list": lambda m: {**m, "config": []},
 }

@@ -3,12 +3,13 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import (MALFORMED_MANIFESTS, SHORT_IHDR, make_dataset_tree,
-                     rewrite_manifest, stand_in_pillow, write_jpeg_stub, write_png)
+                     rewrite_manifest, stand_in_pillow, write_jpeg_stub, write_png, write_ppm)
 from leafnet import data as D
 from leafnet import layers as L
 from leafnet import metrics as MET
@@ -17,6 +18,8 @@ from leafnet import tensor as T
 from leafnet import training as TR
 from leafnet.cli import build_parser, main
 from leafnet.errors import LeafnetError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TWO_CLASS = {"blight": (170, 110, 30), "healthy": (40, 200, 40)}
 
@@ -278,6 +281,22 @@ class TestEval:
         assert name in TWO_CLASS
         assert 0.0 < float(conf) <= 1.0
 
+    def test_class_name_not_utf8_exit_2(self, tree, tmp_path, capsys):
+        """A class directory whose name is not UTF-8 ends train and eval in
+        exit 2 naming it, before any image is read; no report is written."""
+        model = train_fixture_model(tree, tmp_path / "run", epochs=1)
+        for split in ("train", "valid"):
+            bad = os.path.join(os.fsencode(tree / split), b"bad\xff")
+            os.mkdir(bad)
+            write_ppm(Path(os.fsdecode(bad)) / "img_0.ppm", np.zeros((16, 16, 3)))
+        capsys.readouterr()
+        assert main(["train", str(tree), *REDUCED, "--out", str(tmp_path / "again")]) == 2
+        assert "b'bad\\xff' is not UTF-8" in capsys.readouterr().err
+        out = tmp_path / "eval"
+        assert main(["eval", str(model), str(tree), "--out", str(out)]) == 2
+        assert "b'bad\\xff' is not UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_split_exit_2(self, tree, tmp_path, capsys):
         out = tmp_path / "run"
         model = train_fixture_model(tree, out, epochs=1)
@@ -355,6 +374,28 @@ class TestPredict:
         finally:
             os.close(writer)
         assert "pipe.leaf: not a regular file" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("role", ["model", "image"])
+    def test_fifo_without_writer_exit_2(self, tree, tmp_path, role):
+        """A FIFO that no process writes to is refused at once as the model
+        file and as the image. The CLI runs in a child process, so a read
+        that waits for a writer fails the test at the timeout instead of
+        hanging it."""
+        model = M.build_cnn(M.CnnConfig(input_size=16, filters=(4, 8), dense_units=16,
+                                        classes=2))
+        model.label_map = sorted(TWO_CLASS)
+        paths = {"model": tmp_path / "m.leaf",
+                 "image": next((tree / "valid" / "healthy").iterdir())}
+        D.save_model(model, paths["model"])
+        paths[role] = tmp_path / "pipe"
+        os.mkfifo(paths[role])
+        proc = subprocess.run(
+            [sys.executable, "-m", "leafnet.cli", "predict", str(paths["model"]),
+             str(paths["image"])], capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+        assert proc.returncode == 2, proc.stderr
+        assert "pipe: not a regular file" in proc.stderr
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
     def test_malformed_manifest_exit_2(self, tree, tmp_path, capsys, case):

@@ -1,13 +1,17 @@
 """Seeded fuzzing of the parsers at the trust boundary: decode_image and
 load_model end every malformed input in a LeafnetError, and `leafnet
-predict` turns one into exit code 2."""
+predict` turns one into exit code 2. Seeded dataset trees of odd names and
+odd files end every `leafnet train`, `eval` and `predict` in exit 0 or 2."""
 
 import copy
 import json
 import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,3 +287,95 @@ def test_predict_on_huge_header_exit_2(files, tmp_path, capsys, kind):
     bad.write_bytes(_declaring_size(kind, files[kind].read_bytes(), 2 ** 31 - 1, 2 ** 31 - 1))
     assert main(["predict", str(files["model"]), str(bad)]) == 2
     assert "too large" in capsys.readouterr().err
+
+
+# Names a dataset tree holds: UTF-8 and non-UTF-8 bytes, a newline, a comma,
+# quotes, and 250 bytes (a file name adds a digit and ".ppm", to 255 bytes).
+_TREE_NAMES = [b"plain", b"caf\xc3\xa9", b"bad\xff", b"two\nlines", b"a,b", b"\"q'",
+               b"n" * 250]
+
+
+def _tiny_ppm(path: bytes, rng) -> None:
+    write_ppm(Path(os.fsdecode(path)), rng.integers(0, 256, (8, 8, 3)))
+
+
+# Odd entries, by file name: how each is made at a given path.
+_ODD = {b"dangling.ppm": lambda path: os.symlink(b"missing.ppm", path),
+        b"loop.ppm": lambda path: os.symlink(b"loop.ppm", path),
+        b"pipe.ppm": os.mkfifo,
+        b"folder.png": os.mkdir,
+        b"empty.png": lambda path: open(path, "wb").close()}
+
+
+def _dataset_tree(root: Path, seed: int) -> list[bytes]:
+    """A seeded train/valid tree: two classes named from _TREE_NAMES, two
+    images each, under file names from the same list. Each odd entry of
+    _ODD, an empty class directory and a class only in valid/ are added
+    with probability 1/3, an odd entry in a random class directory. Returns
+    what was added."""
+    rng = np.random.default_rng(seed)
+    top = os.fsencode(root)
+    classes = [_TREE_NAMES[i] for i in rng.choice(len(_TREE_NAMES), 2, replace=False)]
+    for split in (b"train", b"valid"):
+        for name in classes:
+            os.makedirs(os.path.join(top, split, name))
+            for i in range(2):
+                stem = _TREE_NAMES[int(rng.integers(len(_TREE_NAMES)))]
+                _tiny_ppm(os.path.join(top, split, name, b"%d%s.ppm" % (i, stem)), rng)
+    added = []
+    for entry, make in _ODD.items():
+        if rng.random() < 1 / 3:
+            split = (b"train", b"valid")[int(rng.integers(2))]
+            make(os.path.join(top, split, classes[int(rng.integers(2))], entry))
+            added.append(entry)
+    if rng.random() < 1 / 3:
+        os.mkdir(os.path.join(top, (b"train", b"valid")[int(rng.integers(2))], b"no_images"))
+        added.append(b"no_images/")
+    if rng.random() < 1 / 3:
+        os.mkdir(os.path.join(top, b"valid", b"valid_only"))
+        _tiny_ppm(os.path.join(top, b"valid", b"valid_only", b"0.ppm"), rng)
+        added.append(b"valid/valid_only/")
+    return added
+
+
+# Runs in a child: train a tiny CNN on the tree at argv[1]; eval the trained
+# model, or the model at argv[2] if training failed; predict every entry of
+# every class directory. Prints the exit codes as one JSON line.
+_RUN_TREE = """
+import json, os, sys
+from leafnet.cli import main
+root, fallback, out = sys.argv[1:]
+codes = {"train": main(["train", root, "--input", "8", "--filters", "2", "--dense", "4",
+                        "--epochs", "1", "--batch", "2", "--out", out])}
+model = os.path.join(out, "model.leaf") if codes["train"] == 0 else fallback
+codes["eval"] = main(["eval", model, root, "--out", os.path.join(out, "eval")])
+for split in ("train", "valid"):
+    for name in sorted(os.listdir(os.path.join(root, split))):
+        folder = os.path.join(root, split, name)
+        for entry in sorted(os.listdir(folder)) if os.path.isdir(folder) else []:
+            key = ascii(os.path.join(split, name, entry))
+            codes[key] = main(["predict", model, os.path.join(folder, entry)])
+print(json.dumps(codes))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_seeded_dataset_trees_exit_0_or_2(files, tmp_path):
+    """Every train, eval and predict run on a seeded odd tree exits 0 or 2,
+    with no traceback, in a child killed after a timeout (a FIFO read that
+    waits for a writer would block it forever). The seeds give both
+    outcomes of train."""
+    trains = set()
+    for seed in range(8):
+        root = tmp_path / f"tree{seed}"
+        added = _dataset_tree(root, seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_TREE, str(root), str(files["model"]),
+             str(tmp_path / f"out{seed}")], capture_output=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")))
+        stderr = proc.stderr.decode("utf-8", "replace")
+        assert proc.returncode == 0 and "Traceback" not in stderr, (seed, added, stderr)
+        codes = json.loads(proc.stdout.splitlines()[-1])
+        assert set(codes.values()) <= {0, 2}, (seed, added, codes)
+        trains.add(codes["train"])
+    assert trains == {0, 2}

@@ -7,8 +7,8 @@ kept. The few exceptions below are public entry points the acceptance
 criteria call.
 The package also imports nothing beyond the standard library and numpy,
 save pillow inside the JPEG decoder; only tensor.halves reads the split
-gate SPLIT_MIN; and every function the benchmark's tracer wraps still
-exists under its name.
+gate SPLIT_MIN, and only tensor.blockwise the block size BLOCK; and every
+function the benchmark's tracer wraps still exists under its name.
 """
 
 import ast
@@ -17,13 +17,13 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "leafnet"
 
 # (module, name or Class.method) -> why it stays without a caller in src/
 ALLOWED = {
-    ("models", "forward_train"): "acceptance criterion 3's end-to-end gradient checks "
-                                 "call it",
     ("layers", "lstm_cell_step"): "the single-step LSTM API acceptance criterion 3 "
                                   "checks against finite differences",
     ("layers", "lstm_cell_backward"): "the single-step LSTM API acceptance criterion 3 "
@@ -31,8 +31,6 @@ ALLOWED = {
     ("data", "synth_dataset"): "the synthetic fixture acceptance criterion 6 trains on",
     ("metrics", "aggregates"): "acceptance criterion 7 checks the macro and weighted "
                                "averages through it",
-    ("models", "SequentialModel.layer_param_counts"): "acceptance criterion 1 checks the "
-                                                      "per-layer parameter counts through it",
 }
 
 
@@ -127,25 +125,28 @@ def test_allowlist_names_exist_and_are_unused():
             assert name not in _references(module, trees), f"{module}.{name} has a caller now"
 
 
-def test_only_halves_reads_split_min():
+@pytest.mark.parametrize("constant, reader", [("SPLIT_MIN", "tensor.halves"),
+                                               ("BLOCK", "tensor.blockwise")])
+def test_only_one_function_reads(constant, reader):
     """Whether a call is large enough to split is decided in one place:
     callers declare their multiply-adds to tensor.halves, and no other code,
-    in tensor.py or elsewhere, reads SPLIT_MIN (comments aside)."""
+    in tensor.py or elsewhere, reads SPLIT_MIN (comments aside). Likewise
+    tensor.blockwise alone cuts arrays into BLOCK-element blocks."""
     readers = set()
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = f"{owner.split('.')[0]}.{node.name}"
         if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-                and node.id == "SPLIT_MIN"
-                or isinstance(node, ast.Attribute) and node.attr == "SPLIT_MIN"):
+                and node.id == constant
+                or isinstance(node, ast.Attribute) and node.attr == constant):
             readers.add(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
     for module, tree in _trees().items():
         visit(tree, module)
-    assert readers == {"tensor.halves"}, readers
+    assert readers == {reader}, readers
 
 
 def test_numpy_is_the_only_hard_dependency():

@@ -214,8 +214,8 @@ class TestMicroBatch:
 
     def check(self, model, xs, ys):
         model_to_f64(model)
-        loss, correct, grads = TR.loss_and_grads(model, np.stack(xs), ys, mode="infer")
-        singles = [TR.loss_and_grads(model, x, y, mode="infer") for x, y in zip(xs, ys)]
+        loss, correct, grads = TR.loss_and_grads(model, np.stack(xs), ys)
+        singles = [TR.loss_and_grads(model, x, y) for x, y in zip(xs, ys)]
         assert loss == pytest.approx(sum(s[0] for s in singles), rel=1e-12)
         assert correct == sum(s[1] for s in singles)
         for li, layer in enumerate(grads):
@@ -242,9 +242,9 @@ class TestMicroBatch:
         rng = np.random.default_rng(43)
         xs = rng.standard_normal((3,) + model.spec.input_shape)
         total = [dict() for _ in model.params]
-        TR.loss_and_grads(model, xs[:2], [0, 1], "infer", None, total)
-        TR.loss_and_grads(model, xs[2:], [2], "infer", None, total)
-        _, _, whole = TR.loss_and_grads(model, xs, [0, 1, 2], mode="infer")
+        TR.loss_and_grads(model, xs[:2], [0, 1], None, total)
+        TR.loss_and_grads(model, xs[2:], [2], None, total)
+        _, _, whole = TR.loss_and_grads(model, xs, [0, 1, 2])
         for acc, ref in zip(total, whole):
             assert list(acc) == list(ref)
             for key in ref:
